@@ -9,6 +9,7 @@ then writes everything to ``<run-dir>/pass-<index>.json``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import resource
@@ -37,13 +38,16 @@ def main(argv=None) -> int:
         os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
 
     sys.path.insert(0, os.path.join(args.root, "src"))
+    import calibrate
     import scenarios
 
     with open(os.path.join(args.run_dir, "fixture.json")) as handle:
         fixture = json.load(handle)
     scenario = scenarios.SCENARIOS[args.workload](args.root, args.run_dir, args.seed)
     scenario.setup(fixture)
-    out = {"setup_s": time.monotonic() - args.spawned}
+    out = {"setup_s": time.monotonic() - args.spawned,
+           # The host's speed right after set-up: the set-up's scale.
+           "setup_references": calibrate.reference_s()}
     try:
         if args.measure:
             from repro.workloads.trace import shared_trace_cache
@@ -55,7 +59,11 @@ def main(argv=None) -> int:
                 recorder = spantrace.Recorder()
                 spantrace.install(recorder)
                 root = recorder.begin("pass")
-            result = scenario.run_pass()
+            # An untraced pass gauges the host's speed as it runs; the
+            # samples' own time comes off the pass's wall time.
+            sampler = None if args.trace else calibrate.Sampler()
+            with sampler or contextlib.nullcontext():
+                result = scenario.run_pass()
             spans = []
             if recorder is not None:
                 recorder.end(root)
@@ -66,7 +74,9 @@ def main(argv=None) -> int:
             result.counts["trace_cache_misses"] = cache["misses"]
             attempted, failed, notes = scenario.check(result, bool(args.full_check))
             out.update(
-                wall_s=result.wall_s,
+                wall_s=result.wall_s - (sampler.spent if sampler else 0.0),
+                # A pass too short for a sample takes the set-up's.
+                references=(sampler.samples or out["setup_references"]) if sampler else [],
                 ops=result.ops,
                 counts=result.counts,
                 attempted=attempted,

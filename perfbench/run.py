@@ -9,7 +9,9 @@ Workloads (see ``scenarios.py`` and ``README.md``): ``cold-fig06``,
 ``--seed``, then runs passes, each in a fresh child process, until the
 passes have measured about ``--seconds`` (at least two passes), and adds
 set-up-only children until :data:`SETUP_SAMPLES` set-ups were timed.
-Every pass's outputs are checked against the checked-in goldens.
+Every pass's outputs are checked against the checked-in goldens.  The
+gated times are scaled to a nominal host speed, gauged by reference
+work the pass process samples as it runs (``calibrate.py``).
 
 ``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` alternates
 untraced and traced passes and reports per-layer metrics from the
@@ -42,11 +44,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 sys.path.insert(0, HERE)
 
+import calibrate  # noqa: E402
 import scenarios  # noqa: E402
 import spantrace  # noqa: E402
 
 MIN_PASSES = 2
-SETUP_SAMPLES = 3
+SETUP_SAMPLES = 5
 #: A run must end within the driver's 180 s limit.
 RUN_BUDGET_S = 170.0
 
@@ -172,18 +175,35 @@ def _child_env(scenario, run_dir: str):
     env["REPRO_RESULT_STORE"] = os.path.join(run_dir, "default-store")
     if scenario.engine:
         env["REPRO_ENGINE"] = scenario.engine
+    # The same dict and set layouts in every pass.
+    env["PYTHONHASHSEED"] = "0"
     return env
 
 
 def end_to_end(passes, setups):
+    """The gated metrics: times at the nominal host speed (``calibrate``)."""
     untraced = [p for p in passes if not p["traced"]]
-    walls = [p["wall_s"] for p in untraced]
+    walls = [calibrate.scale(p["wall_s"], p["references"]) for p in untraced]
     ops = [op["seconds"] for p in untraced for op in p["ops"]]
     return {
-        "setup_s": statistics.median(setups),
+        "setup_s": statistics.median(
+            calibrate.scale(s["setup_s"], s["setup_references"]) for s in setups
+        ),
         "wall_s": statistics.median(walls),
         "ops_per_s": len(ops) / sum(walls),
         "peak_rss_mb": max(p["peak_rss_mb"] for p in passes),
+    }
+
+
+def raw_times(passes, setups):
+    """The unscaled times, and the host's reference time, as measured."""
+    untraced = [p for p in passes if not p["traced"]]
+    return {
+        "raw_setup_s": statistics.median(s["setup_s"] for s in setups),
+        "raw_wall_s": statistics.median(p["wall_s"] for p in untraced),
+        "reference_s": statistics.fmean(
+            r for p in untraced for r in p["references"]
+        ),
     }
 
 
@@ -290,7 +310,7 @@ def main(argv=None) -> int:
                 failures += 1
                 break
             passes.append(result)
-            setups.append(result["setup_s"])
+            setups.append(result)
             measured += result["wall_s"]
         while not failures and len(setups) < SETUP_SAMPLES:
             result = _spawn(run_dir, args, len(setups), measure=False, trace=False,
@@ -298,7 +318,7 @@ def main(argv=None) -> int:
             if result is None:
                 failures += 1
                 break
-            setups.append(result["setup_s"])
+            setups.append(result)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
         try:
@@ -311,6 +331,16 @@ def main(argv=None) -> int:
     for p in passes:
         for note in p["notes"]:
             print(f"check: {note}")
+    for index, child in enumerate(setups):
+        line = (f"child {index} setup_s={child['setup_s']:.4f} scaled_setup_s="
+                f"{calibrate.scale(child['setup_s'], child['setup_references']):.4f}")
+        if "wall_s" in child:
+            line += f" traced={int(child['traced'])} wall_s={child['wall_s']:.4f}"
+        if child.get("references"):
+            line += (f" references={len(child['references'])}"
+                     f" reference_s={statistics.fmean(child['references']):.5f}"
+                     f" scaled_s={calibrate.scale(child['wall_s'], child['references']):.4f}")
+        print(line)
     complete = not failures and len(passes) >= MIN_PASSES
     protocol = {
         "workload": args.workload,
@@ -334,6 +364,8 @@ def main(argv=None) -> int:
         e2e = end_to_end(passes, setups)
         for name, unit in END_TO_END:
             print(f"metric {name} {e2e[name]!r} {unit}")
+        for name, value in raw_times(passes, setups).items():
+            print(f"metric {name} {value!r} s")
         for name, (value, unit) in workload_extras(passes).items():
             print(f"metric {name} {value!r} {unit}")
         print(f"metric error_rate {failed / max(1, attempted)!r} ratio")

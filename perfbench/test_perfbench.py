@@ -7,8 +7,10 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
+import calibrate
 import scenarios
 import spantrace
 
@@ -69,6 +71,19 @@ def test_recorder_nests_spans_per_thread():
     assert by_name["pass"]["parent"] is None
     assert by_name["sim.run"]["parent"] == by_name["pass"]["id"]
     assert by_name["workloads.gen"]["parent"] == by_name["sim.run"]["id"]
+
+
+def test_sampler_times_the_reference_through_a_busy_pass():
+    with calibrate.Sampler(interval=0.02) as sampler:
+        deadline = time.perf_counter() + 0.3
+        while time.perf_counter() < deadline:
+            pass
+    assert len(sampler.samples) >= 3
+    assert all(seconds > 0 for seconds in sampler.samples)
+    assert sampler.spent == sum(sampler.samples)
+    # Twice the nominal reference time: the host runs at half speed.
+    slow = [2 * calibrate.REFERENCE_NOMINAL_S] * 4
+    assert calibrate.scale(10.0, slow) == 5.0
 
 
 def _golden_artifacts():
