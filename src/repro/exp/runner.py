@@ -12,7 +12,6 @@ the parent process writes to the store, whatever the backend.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import (
     Callable,
@@ -44,32 +43,23 @@ def run_point(point: ExperimentPoint) -> SimulationResult:
     The single simulation entry every backend funnels through (looked
     up late, as ``runner.run_point``, so tests can monkeypatch it).
 
-    ``REPRO_ENGINE`` selects the execution engine for every point —
-    an environment variable rather than a point field because the
-    engine is byte-parity-gated: it cannot change any result, so it is
-    not part of the experiment key and never reaches the store.  The
-    variable also propagates to process-pool and sharded workers for
-    free.
-
     With tracing on (``$REPRO_TRACE``), the whole simulation is one
     ``point.simulate`` span — emitted from whichever process ran the
     point, including pool workers and fleet members, since they inherit
     the sink through the environment.  The span wraps the point, never
     the replay loop: zero per-request overhead either way.
     """
-    engine = os.environ.get("REPRO_ENGINE") or None
     trace = tracer()
     if not trace.enabled:
-        return Simulator(point.config(), engine=engine).run()
+        return Simulator(point.config()).run()
     with trace.span(
         "point.simulate",
         key=point.key(),
         label=point.label(),
         design=point.design,
         workload=str(point.workload),
-        engine=engine or "interp",
     ):
-        return Simulator(point.config(), engine=engine).run()
+        return Simulator(point.config()).run()
 
 
 @dataclass(frozen=True)

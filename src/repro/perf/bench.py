@@ -12,13 +12,10 @@ separately:
   and *warm* (trace already materialised — what every subsequent design
   in a sweep pays).
 
-Results are written to ``BENCH_perf.json`` at the repo root so the
-project accumulates a performance trajectory alongside its correctness
-artifacts.  The file also carries the *pre-optimisation* engine's
-measured throughput (``benchmarks/perf_baseline.json``, recorded with
-the same protocol before the fast path landed) and the speedup against
-it.  The baseline number is environment-bound: the comparison is exact
-on the machine that recorded it and indicative elsewhere.
+Results are written to ``BENCH_perf.json`` at the repo root, and one
+record per design is appended to ``BENCH_history.jsonl``, so the project
+accumulates a performance trajectory alongside its correctness
+artifacts.
 
 Benchmarks never touch the result store and never affect simulation
 output: the fast path they exercise is byte-parity-gated in CI.
@@ -33,20 +30,21 @@ import subprocess
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.config import EXECUTION_ENGINES, SimulationConfig
+from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
 from repro.workloads.cloudsuite import make_workload
 from repro.workloads.trace import shared_trace_cache
 
 BENCH_FILENAME = "BENCH_perf.json"
 HISTORY_FILENAME = "BENCH_history.jsonl"
-BASELINE_FILENAME = os.path.join("benchmarks", "perf_baseline.json")
 SCHEMA = "repro-perf-bench/1"
 HISTORY_SCHEMA = "repro-perf-history/1"
 
-# Engine choices for the bench: a concrete engine, or "both" to measure
-# the same protocol under every engine and report the comparison.
-BENCH_ENGINES: Tuple[str, ...] = EXECUTION_ENGINES + ("both",)
+# The engine label on every measurement.  Replay always takes the
+# batch-kernel path (scalar fallback for designs without a kernel); the
+# label keeps new history records matching the checked-in ones, which
+# tools/check_perf_history.py compares on (engine, design).
+ENGINE_LABEL = "vector"
 
 # The repo checkout this package lives in (src/repro/perf/ -> repo root).
 # An installed package has no benchmarks/ tree there; fall back to the
@@ -110,21 +108,6 @@ def cpu_model() -> Optional[str]:
     except OSError:
         pass
     return platform.processor() or None
-
-
-def load_baseline() -> Optional[Dict[str, Any]]:
-    """The checked-in pre-optimisation measurement, if present.
-
-    Recorded by running the *pre-PR* engine through the same protocol
-    (see ``benchmarks/perf_baseline.json``); used to report the speedup
-    the fast path delivers.
-    """
-    path = os.path.join(_REPO_ROOT, BASELINE_FILENAME)
-    try:
-        with open(path) as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError):
-        return None
 
 
 def _bench_config(
@@ -195,26 +178,23 @@ def measure_replay(
     num_requests: int,
     seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
-    engine: Optional[str] = None,
 ) -> Dict[str, Any]:
     """End-to-end ``Simulator.run()`` throughput, cold and warm.
 
     *Cold* clears the shared trace cache first, so the measurement
-    includes trace generation — the pre-PR engine paid this cost on
-    every single point.  *Warm* replays with the trace already
-    materialised — the steady state of every multi-design sweep.
-    ``engine`` selects the execution engine (byte-parity-gated, so it
-    changes throughput and nothing else).
+    includes trace generation — what a fresh process pays.  *Warm*
+    replays with the trace already materialised — the steady state of
+    every multi-design sweep.
     """
     config = _bench_config(design, workload, capacity_mb, num_requests, seed)
     cache = shared_trace_cache()
 
     def run_cold() -> None:
         cache.clear()
-        Simulator(config, engine=engine).run()
+        Simulator(config).run()
 
     def run_warm() -> None:
-        Simulator(config, engine=engine).run()
+        Simulator(config).run()
 
     # Both columns use the same best-of-``repeats`` protocol; each cold
     # run clears the trace cache first, so every repeat pays generation.
@@ -224,7 +204,7 @@ def measure_replay(
     warm_seconds = _best_of(repeats, run_warm)
     return {
         "design": design,
-        "engine": engine or "interp",
+        "engine": ENGINE_LABEL,
         "requests": num_requests,
         "cold_seconds": round(cold_seconds, 4),
         "cold_requests_per_second": round(num_requests / cold_seconds, 1),
@@ -240,47 +220,22 @@ def run_bench(
     num_requests: int = DEFAULT_REQUESTS,
     seed: int = 0,
     repeats: int = DEFAULT_REPEATS,
-    engine: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Run the full benchmark suite and assemble the report payload.
-
-    ``engine`` is a concrete engine name or ``"both"``, which measures
-    every design under every engine and adds an ``engine_comparison``
-    section (per-design warm throughput side by side, plus the vector
-    speedup).  The report's ``designs`` section always holds the primary
-    engine's numbers: the requested engine, or — under ``"both"`` — the
-    last engine measured ("vector"), matching what the headline claims.
-    """
+    """Run the full benchmark suite and assemble the report payload."""
     if num_requests <= 0:
         raise ValueError("num_requests must be positive")
     if not designs:
         raise ValueError("designs must not be empty")
-    engine = engine or "interp"
-    if engine not in BENCH_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; one of {', '.join(BENCH_ENGINES)}"
-        )
-    engines = EXECUTION_ENGINES if engine == "both" else (engine,)
     generation = measure_generation(
         _bench_config(designs[0], workload, capacity_mb, num_requests, seed),
         repeats=repeats,
     )
-    by_engine: Dict[str, Dict[str, Any]] = {}
-    for engine_name in engines:
-        by_engine[engine_name] = {
-            design: measure_replay(
-                design,
-                workload,
-                capacity_mb,
-                num_requests,
-                seed=seed,
-                repeats=repeats,
-                engine=engine_name,
-            )
-            for design in designs
-        }
-    primary = engines[-1]
-    measurements = by_engine[primary]
+    measurements = {
+        design: measure_replay(
+            design, workload, capacity_mb, num_requests, seed=seed, repeats=repeats
+        )
+        for design in designs
+    }
 
     payload: Dict[str, Any] = {
         "schema": SCHEMA,
@@ -291,7 +246,7 @@ def run_bench(
             "num_requests": num_requests,
             "seed": seed,
             "repeats": repeats,
-            "engine": engine,
+            "engine": ENGINE_LABEL,
             "metric": "end-to-end Simulator.run() requests/sec, best of repeats",
         },
         "environment": {
@@ -303,22 +258,6 @@ def run_bench(
         "trace_generation": generation,
         "designs": measurements,
     }
-
-    if len(engines) > 1:
-        comparison: Dict[str, Any] = {}
-        for design in designs:
-            row = {
-                f"{engine_name}_warm_requests_per_second": by_engine[engine_name][
-                    design
-                ]["warm_requests_per_second"]
-                for engine_name in engines
-            }
-            interp_rps = by_engine["interp"][design]["warm_requests_per_second"]
-            vector_rps = by_engine["vector"][design]["warm_requests_per_second"]
-            if interp_rps > 0:
-                row["vector_speedup"] = round(vector_rps / interp_rps, 2)
-            comparison[design] = row
-        payload["engine_comparison"] = comparison
 
     # Observability snapshot: the bench exercises the same shared trace
     # cache the sweeps use, so its counters after the run summarise how
@@ -340,30 +279,20 @@ def run_bench(
     payload["metrics"] = metrics
 
     headline = measurements.get(HEADLINE_DESIGN)
-    baseline = load_baseline()
     if headline is not None:
-        summary: Dict[str, Any] = {
+        payload["headline"] = {
             "design": HEADLINE_DESIGN,
-            "engine": primary,
+            "engine": ENGINE_LABEL,
             "warm_requests_per_second": headline["warm_requests_per_second"],
             "cold_requests_per_second": headline["cold_requests_per_second"],
         }
-        if baseline is not None:
-            pre = float(baseline.get("requests_per_second", 0.0))
-            summary["pre_pr_requests_per_second"] = pre
-            summary["pre_pr_commit"] = baseline.get("commit")
-            if pre > 0:
-                summary["speedup_vs_pre_pr"] = round(
-                    headline["warm_requests_per_second"] / pre, 2
-                )
-        payload["headline"] = summary
     return payload
 
 
 def history_records(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
-    """Flatten a bench payload into per-(engine, design) history records.
+    """Flatten a bench payload into per-design history records.
 
-    One compact record per measured engine/design pair, carrying enough
+    One compact record per measured design, carrying enough
     protocol and environment context to be compared across commits
     (see ``tools/check_perf_history.py``).
     """
@@ -389,31 +318,12 @@ def history_records(payload: Dict[str, Any]) -> List[Dict[str, Any]]:
         records.append(
             {
                 **base,
-                "engine": bench.get("engine", "interp"),
+                "engine": bench["engine"],
                 "design": design,
                 "warm_requests_per_second": bench["warm_requests_per_second"],
                 "cold_requests_per_second": bench["cold_requests_per_second"],
             }
         )
-    # Under --engine both the designs section holds only the primary
-    # engine; recover the other engines' warm numbers from the
-    # comparison so the history sees every measurement.
-    for design, row in payload.get("engine_comparison", {}).items():
-        primary = payload["designs"].get(design, {}).get("engine")
-        for key, value in row.items():
-            if not key.endswith("_warm_requests_per_second"):
-                continue
-            engine_name = key[: -len("_warm_requests_per_second")]
-            if engine_name == primary:
-                continue
-            records.append(
-                {
-                    **base,
-                    "engine": engine_name,
-                    "design": design,
-                    "warm_requests_per_second": value,
-                }
-            )
     return records
 
 

@@ -16,7 +16,7 @@ from repro.caches.base import DramCache
 from repro.core.footprint_cache import FootprintCache
 from repro.mem.request import BLOCK_SIZE, MemoryRequest
 from repro.perf.timing_model import PerformanceModel, PerformanceResult
-from repro.sim.config import EXECUTION_ENGINES, SimulationConfig
+from repro.sim.config import SimulationConfig
 from repro.sim.system import System, build_system
 from repro.workloads.synthetic import SyntheticWorkload
 from repro.workloads.trace import max_cached_requests, shared_trace_cache
@@ -107,6 +107,15 @@ class SimulationResult:
         return cls(**payload)
 
 
+#: ``Simulator`` replay paths.  ``"vector"`` (the default) lets the code
+#: pick: a :mod:`repro.vector` batch kernel when one matches the design
+#: and configuration, the scalar loop otherwise.  ``"interp"`` forces the
+#: scalar reference loop; it is the hook the equivalence tests compare
+#: the kernels against, and no CLI flag, environment variable or config
+#: field reaches it.
+ENGINES = ("interp", "vector")
+
+
 class Simulator:
     """Run one :class:`SimulationConfig` to completion."""
 
@@ -114,17 +123,12 @@ class Simulator:
         self,
         config: SimulationConfig,
         system: Optional[System] = None,
-        engine: Optional[str] = None,
+        engine: str = "vector",
     ) -> None:
         self.config = config
-        # The engine argument overrides the config's; both select *how*
-        # the replay executes, never what it computes — the vector engine
-        # is byte-parity-gated against the scalar loop.
-        self.engine = engine or config.engine
-        if self.engine not in EXECUTION_ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; one of {EXECUTION_ENGINES}"
-            )
+        if engine not in ENGINES:
+            raise ValueError(f"unknown engine {engine!r}; one of {ENGINES}")
+        self.engine = engine
         # A system the simulator built itself has a pristine workload
         # generator, so replays can be served from the shared trace cache
         # with exact continuation semantics; an externally built system
@@ -180,19 +184,19 @@ class Simulator:
 
         With an explicit trace, ``config.num_requests`` still bounds how
         many requests are consumed and the warm-up split applies the same
-        way.  ``engine="vector"`` dispatches to the NumPy batch kernels
-        (:mod:`repro.vector`); designs or configurations without a kernel
-        fall back to the scalar loop, so the result is identical either
-        way.
+        way.  Replay goes through :func:`repro.vector.engine.replay`,
+        which runs the design's batch kernel and falls back to the scalar
+        loop for designs or configurations without one; the result is
+        byte-identical either way.
         """
-        if self.engine == "vector":
-            from repro.vector import run_vector
+        if self.engine == "interp":
+            return self._run_interp(trace)
+        from repro.vector.engine import replay
 
-            return run_vector(self, trace)
-        return self._run_interp(trace)
+        return replay(self, trace)
 
     def _run_interp(self, trace: Optional[Sequence[MemoryRequest]] = None) -> SimulationResult:
-        """The scalar reference loop (``engine="interp"``)."""
+        """The scalar reference loop (also the no-kernel fallback)."""
         # Requests enter at the system's frontend: the DRAM cache itself,
         # or the extra-L2 slice in front of it (Section 6.3).  Statistics
         # are summarised at the DRAM cache level either way.
@@ -297,7 +301,6 @@ def quick_run(
     scale: int = 256,
     num_requests: int = 60_000,
     seed: int = 0,
-    engine: Optional[str] = None,
     **cache_kwargs,
 ) -> SimulationResult:
     """One-call experiment: build, run, summarise.
@@ -315,4 +318,4 @@ def quick_run(
         seed=seed,
         **cache_kwargs,
     )
-    return Simulator(config, engine=engine).run()
+    return Simulator(config).run()

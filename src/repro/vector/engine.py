@@ -1,4 +1,4 @@
-"""Segmented replay driver for ``engine="vector"``.
+"""Segmented replay driver: the path every ``Simulator.run()`` takes.
 
 :func:`replay` mirrors :meth:`Simulator._run_interp` exactly — same
 request stream, same warm-up boundary semantics, same summary — but
@@ -117,6 +117,12 @@ def replay(sim, trace=None):
     if kernel is None:
         # No kernel for this design/configuration: the scalar loop is
         # the reference, so the result is identical by construction.
+        # One counter touch per point makes the fallback visible.
+        registry().counter(
+            "repro_engine_fallback_total",
+            "points replayed by the scalar loop for want of a batch kernel",
+            design=sim.config.cache.design,
+        ).inc()
         return sim._run_interp(trace)
 
     take = _segment_source(sim, trace)

@@ -30,10 +30,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised via the no-numpy smoke test
-    np = None
+import numpy as np
 
 from repro.mem.request import AccessType, MemoryRequest
 from repro.workloads.profiles import AccessFunctionSpec, WorkloadProfile
@@ -61,18 +58,9 @@ class _ZipfSampler:
     Eviction is invisible to samplers: the CDF is recomputed automatically
     (bit-identically — it is a pure function of ``(n, alpha)``) and live
     samplers keep a reference to their own CDF regardless.
-
-    Works with or without NumPy: the pure-Python fallback performs the
-    same float64 operations in the same order (elementwise ``pow``,
-    sequential running sum, elementwise divide).  The two paths agree to
-    within the rounding of ``pow`` itself (NumPy's vectorised ``pow``
-    and libm's can differ in the last ulp), so sampling is identical
-    except for draws landing exactly on an ulp-wide bucket boundary.
-    NumPy is the supported configuration (it is a declared dependency);
-    the fallback keeps ``engine="interp"`` functional without it.
     """
 
-    _cache: "OrderedDict[Tuple[int, float], object]" = OrderedDict()
+    _cache: "OrderedDict[Tuple[int, float], np.ndarray]" = OrderedDict()
     _cache_max_entries = 32
 
     def __init__(self, n: int, alpha: float) -> None:
@@ -92,25 +80,16 @@ class _ZipfSampler:
         self._cdf = cached
 
     @staticmethod
-    def _build_cdf(n: int, alpha: float):
-        if np is not None:
-            ranks = np.arange(1, n + 1, dtype=np.float64)
-            weights = ranks ** -alpha if alpha > 0 else np.ones(n)
-            cdf = np.cumsum(weights)
-            cdf /= cdf[-1]
-            return cdf
-        total = 0.0
-        sums = []
-        for rank in range(1, n + 1):
-            total += float(rank) ** -alpha if alpha > 0 else 1.0
-            sums.append(total)
-        return [value / total for value in sums]
+    def _build_cdf(n: int, alpha: float) -> np.ndarray:
+        ranks = np.arange(1, n + 1, dtype=np.float64)
+        weights = ranks ** -alpha if alpha > 0 else np.ones(n)
+        cdf = np.cumsum(weights)
+        cdf /= cdf[-1]
+        return cdf
 
     def sample(self, u: float) -> int:
         """Rank (0-based) for a uniform draw ``u`` in [0, 1)."""
-        if np is not None:
-            return int(np.searchsorted(self._cdf, u, side="right"))
-        return bisect.bisect_right(self._cdf, u)
+        return int(np.searchsorted(self._cdf, u, side="right"))
 
 
 class _AccessFunction:

@@ -9,7 +9,6 @@ from repro.__main__ import build_parser, main
 from repro.perf.bench import (
     SCHEMA,
     default_output_path,
-    load_baseline,
     run_bench,
     write_bench,
 )
@@ -28,15 +27,15 @@ class TestRunBench:
         assert bench["warm_requests_per_second"] > 0
         assert bench["cold_requests_per_second"] > 0
 
-    def test_headline_compares_to_checked_in_baseline(self):
-        baseline = load_baseline()
-        assert baseline is not None, "benchmarks/perf_baseline.json is checked in"
-        assert baseline["requests_per_second"] > 0
+    def test_headline_reports_footprint_warm_throughput(self):
         payload = run_bench(designs=("footprint",), num_requests=2_000, repeats=1)
         headline = payload["headline"]
         assert headline["design"] == "footprint"
-        assert headline["pre_pr_requests_per_second"] == baseline["requests_per_second"]
-        assert headline["speedup_vs_pre_pr"] > 0
+        assert headline["engine"] == "vector"
+        assert (
+            headline["warm_requests_per_second"]
+            == payload["designs"]["footprint"]["warm_requests_per_second"]
+        )
 
     def test_invalid_requests(self):
         with pytest.raises(ValueError):
@@ -81,6 +80,6 @@ class TestPerfCli:
         assert "history appended" in stdout
         payload = json.loads(out.read_text())
         assert "footprint" in payload["designs"]
-        assert "speedup_vs_pre_pr" in payload["headline"]
+        assert payload["headline"]["design"] == "footprint"
         records = [json.loads(line) for line in history.read_text().splitlines()]
         assert [r["design"] for r in records] == ["footprint"]

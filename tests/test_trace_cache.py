@@ -199,6 +199,12 @@ class TestWorkerProcessDeterminism:
 
 
 class TestSimulatorFastPath:
+    """Trace-path equivalences, on the default replay path and on the
+    scalar reference loop (``engine="interp"``), whose stream gates are
+    separate code."""
+
+    ENGINES = ("vector", "interp")
+
     def small_config(self, **kwargs):
         return SimulationConfig.scaled(
             "web_search", kwargs.pop("design", "footprint"), 256,
@@ -212,28 +218,31 @@ class TestSimulatorFastPath:
             page_size=config.cache.page_size, dataset_scale=config.dataset_scale,
         )
         trace = list(workload.requests(6_000))
-        via_cache = Simulator(config).run()
-        via_trace = Simulator(config).run(trace=trace)
-        assert via_cache == via_trace
+        for engine in self.ENGINES:
+            via_cache = Simulator(config, engine=engine).run()
+            via_trace = Simulator(config, engine=engine).run(trace=trace)
+            assert via_cache == via_trace
 
     def test_cold_and_warm_runs_identical(self):
         config = self.small_config(seed=7)
-        shared_trace_cache().clear()
-        cold = Simulator(config).run()
-        warm = Simulator(config).run()
-        assert cold == warm
+        for engine in self.ENGINES:
+            shared_trace_cache().clear()
+            cold = Simulator(config, engine=engine).run()
+            warm = Simulator(config, engine=engine).run()
+            assert cold == warm
 
     def test_repeated_runs_deterministic_across_simulators(self):
         config = self.small_config()
-        sim_a, sim_b = Simulator(config), Simulator(config)
-        assert sim_a.run() == sim_b.run()
-        # Second runs continue the stream, identically on both.
-        assert sim_a.run() == sim_b.run()
+        for engine in self.ENGINES:
+            sim_a, sim_b = Simulator(config, engine=engine), Simulator(config, engine=engine)
+            assert sim_a.run() == sim_b.run()
+            # Second runs continue the stream, identically on both.
+            assert sim_a.run() == sim_b.run()
 
     def test_externally_built_system_keeps_generator_path(self):
         from repro.sim.system import build_system
 
         config = self.small_config()
-        system = build_system(config)
-        external = Simulator(config, system=system).run()
-        assert external == Simulator(config).run()
+        for engine in self.ENGINES:
+            external = Simulator(config, system=build_system(config), engine=engine).run()
+            assert external == Simulator(config, engine=engine).run()

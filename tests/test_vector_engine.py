@@ -1,31 +1,33 @@
-"""Byte-parity gate for ``engine="vector"``.
+"""Byte-parity gate for the batch kernels behind ``Simulator.run()``.
 
-The vector engine's contract is absolute: it may not change a single
-stored byte.  These tests enforce it the strong way — full
+The kernels' contract is absolute: they may not change a single
+stored byte against the scalar reference loop (``engine="interp"``).
+These tests enforce it the strong way — full
 ``SimulationResult.to_dict()`` and ``StatGroup.as_dict()`` equality plus
 deep post-run state comparison (controller counters and energies, bank
 row/busy state, tag contents *and LRU orders*, predictor tables) for
 every registered design, across workload profiles and seeds, including
 randomized traces.  Plus the edge cases that historically break
 segmented replay: empty segments, single requests, warm-up boundaries
-landing exactly on segment edges, and continuation runs.
+landing exactly on segment edges, and continuation runs — and a whole
+sweep store, byte-compared.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
 from repro.caches.registry import design_names
-from repro.mem.request import AccessType, MemoryRequest
+from repro.exp import ExperimentSpec, ResultStore, SweepRunner
+from repro.exp import runner as runner_module
+from repro.exp.backends import SerialBackend
+from repro.exp.store import STORE_FILENAME
+from repro.mem.request import MemoryRequest
+from repro.obs.metrics import registry, reset_registry
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
-from repro.vector import HAS_NUMPY
 import repro.vector.engine as vector_engine
 
 
@@ -123,10 +125,6 @@ def assert_parity(config, trace=None):
     assert interp_state == vector_state
 
 
-needs_numpy = pytest.mark.skipif(not HAS_NUMPY, reason="NumPy not installed")
-
-
-@needs_numpy
 class TestEquivalenceEveryDesign:
     """The gate itself: every design, multiple profiles and seeds."""
 
@@ -144,7 +142,6 @@ class TestEquivalenceEveryDesign:
         assert_parity(small_config(design=design, seed=3))
 
 
-@needs_numpy
 class TestSegmentEdges:
     def test_empty_trace(self):
         assert_parity(small_config(), trace=[])
@@ -198,120 +195,73 @@ class TestEngineSelection:
     def test_invalid_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
             Simulator(small_config(), engine="warp")
-        with pytest.raises(ValueError, match="unknown engine"):
-            dataclasses.replace(small_config(), engine="warp")
 
     def test_engine_excluded_from_config_identity(self):
-        interp = small_config()
-        vector = dataclasses.replace(interp, engine="vector")
-        assert interp == vector
-        assert hash(interp) == hash(vector)
-        assert "engine" not in interp.to_dict()
-        assert "engine" not in vector.to_dict()
-
-    def test_runner_honours_repro_engine(self, monkeypatch):
-        from repro.exp import runner as runner_module
-        from repro.exp.spec import ExperimentPoint
-
-        seen = {}
-        real = runner_module.Simulator
-
-        def recording(config, engine=None):
-            seen["engine"] = engine
-            return real(config, engine=engine)
-
-        monkeypatch.setattr(runner_module, "Simulator", recording)
-        point = ExperimentPoint(
-            workload="web_search", design="baseline", capacity_mb=256,
-            num_requests=500, scale=256,
-        )
-        monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        runner_module.run_point(point)
-        assert seen["engine"] is None
-        if HAS_NUMPY:
-            monkeypatch.setenv("REPRO_ENGINE", "vector")
-            runner_module.run_point(point)
-            assert seen["engine"] == "vector"
+        # The replay path is the code's choice, never part of what an
+        # experiment denotes: no config field, no serialised key.
+        assert "engine" not in SimulationConfig.__dataclass_fields__
+        assert "engine" not in small_config().to_dict()
+        with pytest.raises(ValueError, match="unknown SimulationConfig field"):
+            SimulationConfig.from_dict({"engine": "vector"})
 
 
-class TestWithoutNumpy:
-    """The default engine must work on a NumPy-free interpreter."""
+def _counter_values(name):
+    samples = registry().as_dict().get(name, {}).get("samples", [])
+    return {tuple(sorted(s["labels"].items())): s["value"] for s in samples}
 
-    BLOCKER = (
-        "import sys\n"
-        "class _Block:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'numpy' or name.startswith('numpy.'):\n"
-        "            raise ImportError('numpy blocked for test')\n"
-        "        return None\n"
-        "sys.meta_path.insert(0, _Block())\n"
-        "for mod in list(sys.modules):\n"
-        "    if mod == 'numpy' or mod.startswith('numpy.'):\n"
-        "        del sys.modules[mod]\n"
+
+class TestFallbackTelemetry:
+    @pytest.fixture(autouse=True)
+    def clean_registry(self):
+        reset_registry()
+        yield
+        reset_registry()
+
+    def test_block_point_counts_one_fallback(self):
+        config = small_config(design="block", requests=3_000)
+        Simulator(config).run()
+        assert _counter_values("repro_engine_fallback_total") == {
+            (("design", "block"),): 1
+        }
+        assert _counter_values("repro_engine_requests_total") == {}
+
+    def test_footprint_point_counts_only_kernel_requests(self):
+        config = small_config(design="footprint", requests=3_000)
+        # The scalar reference hook bypasses replay() altogether.
+        Simulator(config, engine="interp").run()
+        assert registry().as_dict() == {}
+        Simulator(config).run()
+        assert _counter_values("repro_engine_fallback_total") == {}
+        assert _counter_values("repro_engine_requests_total") == {
+            (("engine", "vector"),): 3_000
+        }
+
+
+class TestSweepStoreParity:
+    """A whole sweep store is byte-identical to the scalar loop's."""
+
+    SPEC = ExperimentSpec(
+        workloads=("web_search", "data_serving"),
+        designs=("footprint", "page", "baseline", "block"),
+        capacities_mb=(64,),
+        num_requests=6_000,
     )
 
-    def _run(self, body):
-        env = dict(os.environ)
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-        env["PYTHONPATH"] = os.path.join(root, "src")
-        return subprocess.run(
-            [sys.executable, "-c", self.BLOCKER + body],
-            capture_output=True, text=True, env=env, timeout=300,
+    def _sweep(self, directory):
+        store = ResultStore(str(directory))
+        SweepRunner(store=store, backend=SerialBackend()).run(self.SPEC)
+        return (directory / STORE_FILENAME).read_bytes()
+
+    def test_kernel_and_scalar_stores_byte_identical(self, tmp_path, monkeypatch):
+        kernel_store = self._sweep(tmp_path / "kernel")
+        monkeypatch.setattr(
+            runner_module,
+            "run_point",
+            lambda point: Simulator(point.config(), engine="interp").run(),
         )
-
-    def test_interp_engine_runs_without_numpy(self):
-        proc = self._run(
-            "from repro.sim.simulator import quick_run\n"
-            "result = quick_run('web_search', design='footprint',"
-            " num_requests=2000)\n"
-            "print(result.miss_ratio >= 0)\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "True" in proc.stdout
-
-    def test_vector_engine_raises_without_numpy(self):
-        proc = self._run(
-            "from repro.sim.simulator import quick_run\n"
-            "try:\n"
-            "    quick_run('web_search', num_requests=2000, engine='vector')\n"
-            "except RuntimeError as error:\n"
-            "    print('RAISED', error)\n"
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "RAISED" in proc.stdout
-        assert "requires NumPy" in proc.stdout
-
-
-@needs_numpy
-class TestZipfFallbackParity:
-    """The pure-Python CDF must match the NumPy one to pow's rounding."""
-
-    @pytest.mark.parametrize("alpha", (0.0, 0.6, 0.99, 1.2))
-    def test_cdf_matches_numpy(self, monkeypatch, alpha):
-        from repro.workloads import synthetic
-
-        numpy_cdf = synthetic._ZipfSampler._build_cdf(1000, alpha)
-        monkeypatch.setattr(synthetic, "np", None)
-        python_cdf = synthetic._ZipfSampler._build_cdf(1000, alpha)
-        # NumPy's vectorised pow and libm's may round differently in the
-        # last ulp; anything beyond that is a real divergence.
-        assert [float(v) for v in numpy_cdf] == pytest.approx(
-            python_cdf, rel=1e-13
-        )
-        assert python_cdf[-1] == 1.0 or python_cdf[-1] == pytest.approx(1.0)
-
-    def test_sample_agrees(self, monkeypatch):
-        from repro.workloads import synthetic
-
-        synthetic._ZipfSampler._cache.clear()
-        with_numpy = synthetic._ZipfSampler(257, 0.8)
-        draws = [i / 97.0 % 1.0 for i in range(97)]
-        numpy_samples = [with_numpy.sample(u) for u in draws]
-        monkeypatch.setattr(synthetic, "np", None)
-        synthetic._ZipfSampler._cache.clear()
-        without = synthetic._ZipfSampler(257, 0.8)
-        assert [without.sample(u) for u in draws] == numpy_samples
-        synthetic._ZipfSampler._cache.clear()
+        scalar_store = self._sweep(tmp_path / "scalar")
+        assert len(kernel_store.splitlines()) == len(self.SPEC.points())
+        assert kernel_store == scalar_store
 
 
 class TestPerfHistory:
@@ -322,7 +272,7 @@ class TestPerfHistory:
             "protocol": {
                 "workload": "web_search", "capacity_mb": 256,
                 "num_requests": 1000, "seed": 0, "repeats": 1,
-                "engine": "both",
+                "engine": "vector",
             },
             "environment": {"commit": "abc123", "cpu": "TestCPU", "python": "3"},
             "designs": {
@@ -331,12 +281,10 @@ class TestPerfHistory:
                     "warm_requests_per_second": 500000.0,
                     "cold_requests_per_second": 250000.0,
                 },
-            },
-            "engine_comparison": {
-                "footprint": {
-                    "interp_warm_requests_per_second": 150000.0,
-                    "vector_warm_requests_per_second": 500000.0,
-                    "vector_speedup": 3.33,
+                "block": {
+                    "engine": "vector",
+                    "warm_requests_per_second": 150000.0,
+                    "cold_requests_per_second": 100000.0,
                 },
             },
         }
@@ -346,9 +294,9 @@ class TestPerfHistory:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(records) == 4
         assert all(r["schema"] == HISTORY_SCHEMA for r in records)
-        engines = {(r["engine"], r["design"]) for r in records}
-        assert engines == {("vector", "footprint"), ("interp", "footprint")}
-        vector = next(r for r in records if r["engine"] == "vector")
+        designs = {(r["engine"], r["design"]) for r in records}
+        assert designs == {("vector", "footprint"), ("vector", "block")}
+        vector = next(r for r in records if r["design"] == "footprint")
         assert vector["commit"] == "abc123"
         assert vector["cpu"] == "TestCPU"
         assert vector["warm_requests_per_second"] == 500000.0
