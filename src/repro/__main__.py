@@ -305,60 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _obs_flags(report, quiet=False)
 
-    perf = commands.add_parser(
-        "perf",
-        help="benchmark the simulation hot path and write BENCH_perf.json",
-        description="Time trace generation and end-to-end replay "
-        "(requests/sec per design, with a cold and a warm trace cache) "
-        "and write BENCH_perf.json at the repo root.  Purely "
-        "observational: never touches the result store or any golden "
-        "artifact.",
-    )
-    perf.add_argument(
-        "--quick", action="store_true",
-        help="CI-sized run: fewer requests and repeats, footprint+baseline only",
-    )
-    perf.add_argument(
-        "--designs", type=_csv(str), default=None, metavar="A,B,...",
-        help="designs to benchmark (default footprint,page,block,baseline)",
-    )
-    perf.add_argument(
-        "--workload", dest="perf_workload", default="web_search",
-        help="workload profile to replay — built-in or plugin-registered "
-        "(default web_search)",
-    )
-    perf.add_argument(
-        "--plugin", action="append", default=None, metavar="MOD",
-        help="module registering custom designs/workload profiles, loaded "
-        "before validation (repeatable)",
-    )
-    perf.add_argument(
-        "--capacity", dest="perf_capacity", type=int, default=256, metavar="MB",
-        help="nominal cache capacity in MB (default 256)",
-    )
-    perf.add_argument(
-        "--requests", dest="perf_requests", type=int, default=None, metavar="N",
-        help="trace length (default 120000; 30000 with --quick)",
-    )
-    perf.add_argument(
-        "--repeats", type=int, default=None, metavar="N",
-        help="timing repeats, best-of (default 3; 2 with --quick)",
-    )
-    perf.add_argument(
-        "--seed", dest="perf_seed", type=int, default=0,
-        help="trace seed (default 0)",
-    )
-    perf.add_argument(
-        "--out", dest="perf_out", default=None, metavar="FILE",
-        help="output path (default BENCH_perf.json at the repo root)",
-    )
-    perf.add_argument(
-        "--history", dest="perf_history", default=None, metavar="FILE",
-        help="append-only run log (default BENCH_history.jsonl at the repo "
-        "root; one JSONL record per design measured)",
-    )
-    _obs_flags(perf, trace=False)
-
     serve = commands.add_parser(
         "serve",
         help="serve the sweep engine over HTTP (API + async job queue)",
@@ -368,9 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
         "per-point progress, cancel between points, fetch results as "
         "JSON/CSV and rendered figures; the result store is the cache "
         "tier — warm points answer instantly, misses fan out through the "
-        "execution backend.  The builtin HTTP frontend needs nothing "
-        "beyond the standard library; --http fastapi uses the "
-        "repro[serve] extra (fastapi + uvicorn).",
+        "execution backend.  The HTTP frontend needs nothing beyond "
+        "the standard library.",
     )
     serve.add_argument(
         "--host", default="127.0.0.1",
@@ -402,11 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--journal", default=None, metavar="FILE",
         help="JSONL job journal for restart visibility (default "
         "<store>/serve_journal.jsonl; 'none' disables)",
-    )
-    serve.add_argument(
-        "--http", choices=("builtin", "fastapi"), default="builtin",
-        help="HTTP frontend: the zero-dependency builtin server, or the "
-        "FastAPI app under uvicorn (requires the repro[serve] extra)",
     )
     serve.add_argument(
         "--allow-plugins", action="store_true",
@@ -809,102 +749,12 @@ def _run_report(args) -> int:
     return 0
 
 
-def _run_perf(args) -> int:
-    # Imported lazily: the bench harness pulls in the simulator stack.
-    from repro.perf.bench import (
-        DEFAULT_DESIGNS,
-        DEFAULT_REPEATS,
-        DEFAULT_REQUESTS,
-        QUICK_REPEATS,
-        QUICK_REQUESTS,
-        append_history,
-        run_bench,
-        write_bench,
-    )
-
-    from repro.workloads.profiles import profile_names
-
-    try:
-        # Plugins first: they may register the profile/designs named below.
-        load_plugins(tuple(args.plugin or ()))
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    designs = args.designs
-    if designs is None:
-        designs = ("footprint", "baseline") if args.quick else DEFAULT_DESIGNS
-    unknown = [d for d in designs if d not in design_names()]
-    if unknown:
-        print(
-            f"error: unknown design(s) {', '.join(unknown)}; "
-            f"one of {', '.join(design_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    if args.perf_workload not in profile_names():
-        print(
-            f"error: unknown workload {args.perf_workload!r}; "
-            f"one of {', '.join(profile_names())}",
-            file=sys.stderr,
-        )
-        return 2
-    requests = args.perf_requests
-    if requests is None:
-        requests = QUICK_REQUESTS if args.quick else DEFAULT_REQUESTS
-    repeats = args.repeats
-    if repeats is None:
-        repeats = QUICK_REPEATS if args.quick else DEFAULT_REPEATS
-
-    started = time.perf_counter()
-    try:
-        payload = run_bench(
-            designs=designs,
-            workload=args.perf_workload,
-            capacity_mb=args.perf_capacity,
-            num_requests=requests,
-            seed=args.perf_seed,
-            repeats=repeats,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    elapsed = time.perf_counter() - started
-    path = write_bench(payload, args.perf_out)
-    history_path = append_history(payload, args.perf_history)
-
-    generation = payload["trace_generation"]
-    rows = [
-        (
-            "trace generation",
-            "-",
-            f"{generation['requests_per_second']:,.0f}/s",
-        )
-    ]
-    for design, bench in payload["designs"].items():
-        rows.append(
-            (
-                design,
-                f"{bench['cold_requests_per_second']:,.0f}/s",
-                f"{bench['warm_requests_per_second']:,.0f}/s",
-            )
-        )
-    print(
-        format_table(
-            ("stage", "cold trace cache", "warm trace cache"),
-            rows,
-            title=f"Hot-path throughput ({requests} requests, best of {repeats})",
-        )
-    )
-    print(f"bench report written to {path} ({elapsed:.1f}s)")
-    print(f"history appended to {history_path}")
-    return 0
-
-
 def _run_serve(args) -> int:
     # Imported lazily: the serve layer pulls in the reporting registry
     # (for figure jobs) which builds every figure's spec on import.
     from repro.exp.store import default_store_dir
     from repro.serve import Coordinator, JobManager, SimulationService
+    from repro.serve.httpd import serve_forever
 
     store_dir = args.store if args.store is not None else default_store_dir()
     journal = args.journal
@@ -937,18 +787,7 @@ def _run_serve(args) -> int:
     service = SimulationService(
         manager, allow_plugins=args.allow_plugins, coordinator=coordinator
     )
-    if args.http == "fastapi":
-        from repro.serve.fastapi_app import serve_forever
-    else:
-        from repro.serve.httpd import serve_forever
-    try:
-        serve_forever(service, host=args.host, port=args.port,
-                      quiet=args.quiet)
-    except RuntimeError as error:
-        # The fastapi frontend without the repro[serve] extra lands
-        # here with an actionable install hint; the core stays usable.
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+    serve_forever(service, host=args.host, port=args.port, quiet=args.quiet)
     return 0
 
 
@@ -1115,8 +954,6 @@ def main(argv=None) -> int:
         return _run_sweep(args)
     if args.command == "report":
         return _run_report(args)
-    if args.command == "perf":
-        return _run_perf(args)
     if args.command == "serve":
         return _run_serve(args)
     if args.command == "worker":

@@ -22,7 +22,8 @@ the per-request replay inner loop:
 Instrumentation aggregates from the simulator's existing
 :class:`~repro.perf.stats.StatGroup` counters at point boundaries, so
 stored results stay byte-identical and warm-replay throughput is
-unchanged (the ``check_perf_history.py`` gate proves it).
+unchanged (``perfbench/run.py --trace 1`` reports both the per-design
+replay times and the tracing overhead).
 """
 
 from repro.obs.log import Logger, configure_logging, get_logger, verbosity

@@ -16,17 +16,14 @@ Layers (each importable on its own):
   pool, ``pending/running/done/failed/cancelled`` states, cooperative
   between-points cancellation, optional JSONL journal;
 * :mod:`repro.serve.service` — framework-neutral API semantics plus
-  the ``(method, path)`` router both frontends share;
+  the ``(method, path)`` router the HTTP frontend calls;
 * :mod:`repro.serve.coordinator` / :mod:`repro.serve.worker` — the
   distributed-sweep protocol: leased shards with deadlines, streamed
   result delivery, merge-folded completion (``python -m repro worker``
   is the fleet side; :mod:`repro.serve.faults` is its seeded
   fault-injection harness);
 * :mod:`repro.serve.httpd` — the dependency-free stdlib frontend
-  (``python -m repro serve`` default);
-* :mod:`repro.serve.fastapi_app` — the FastAPI/uvicorn frontend
-  (``pip install 'repro[serve]'``), gated so the core package stays
-  import-clean without it.
+  that ``python -m repro serve`` runs.
 
 Start it from the command line::
 

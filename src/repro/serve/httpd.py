@@ -1,19 +1,16 @@
-"""Zero-dependency HTTP frontend: the server ``repro serve`` runs by default.
+"""Zero-dependency HTTP frontend: the server ``repro serve`` runs.
 
 A :class:`ThreadingHTTPServer` whose handler translates requests into
 :func:`repro.serve.service.dispatch` calls — every route, status code
-and payload is defined there, shared with the FastAPI adapter.  One
-thread per connection is exactly right for this service's traffic
-shape: requests are either instant (status polls, store-served
-results) or deliberately long-lived (NDJSON event streams), and the
-simulation work itself runs on the job manager's pool, not on request
-threads.
+and payload is defined there.  One thread per connection is exactly
+right for this service's traffic shape: requests are either instant
+(status polls, store-served results) or deliberately long-lived
+(NDJSON event streams), and the simulation work itself runs on the job
+manager's pool, not on request threads.
 
 This frontend exists so the service has no mandatory dependencies: the
 container image, CI smoke job and test suite all exercise the real
-wire protocol with nothing but the standard library.  Deployments that
-want uvicorn's connection handling install ``repro[serve]`` and run
-the FastAPI app instead; both speak byte-identical API semantics.
+wire protocol with nothing but the standard library.
 """
 
 from __future__ import annotations

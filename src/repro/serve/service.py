@@ -7,12 +7,10 @@ router (:data:`API_ROUTES` + :func:`dispatch`) that maps
 ``(method, path)`` onto those methods and returns a transport-neutral
 :class:`Response`.
 
-Both HTTP frontends are thin adapters over this module: the stdlib
-server (:mod:`repro.serve.httpd`, zero dependencies, what
-``python -m repro serve`` runs by default) and the FastAPI application
-(:mod:`repro.serve.fastapi_app`, the ``repro[serve]`` extra).  Keeping
-the semantics here means the two cannot drift, and the test suite can
-exercise the full API without importing either framework.
+The HTTP frontend, the stdlib server in :mod:`repro.serve.httpd`
+that ``python -m repro serve`` runs, is a thin adapter over this
+module.  Keeping the semantics here means the test suite can exercise
+the full API without a socket.
 
 The service itself holds no simulation state: jobs run in the
 :class:`~repro.serve.jobs.JobManager`, results live in the shared

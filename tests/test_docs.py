@@ -47,9 +47,34 @@ def test_checker_catches_bad_flags_and_values():
             "python -m repro sweep --jobs lots",           # bad int
             "python -m repro store merge x --wrong-flag",  # unknown flag
             "python -m repro store mend",                  # bad store action
+            "python -m repro perf --quick",                # removed subcommand
+            "python -m repro serve --http fastapi",        # removed flag
         )
         for command in dirty:
             assert check_command(command, parser), command
+    finally:
+        sys.path.remove(os.path.join(REPO_ROOT, "tools"))
+        sys.path.remove(os.path.join(REPO_ROOT, "src"))
+
+
+def test_checker_vets_dockerfile_cmd():
+    """The container's exec-form CMD is checked against the live parser."""
+    sys.path.insert(0, os.path.join(REPO_ROOT, "tools"))
+    sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
+    try:
+        from check_docs import check_dockerfile
+
+        from repro.__main__ import build_parser
+
+        parser = build_parser()
+        clean = (
+            'FROM python:3.11-slim\n'
+            'CMD ["python", "-m", "repro", "serve", \\\n'
+            '     "--host", "0.0.0.0", "--port", "8000"]\n'
+        )
+        assert check_dockerfile(clean, parser) == []
+        dirty = clean.replace('"serve", ', '"serve", "--http", "fastapi", ')
+        assert any("--http" in p for p in check_dockerfile(dirty, parser))
     finally:
         sys.path.remove(os.path.join(REPO_ROOT, "tools"))
         sys.path.remove(os.path.join(REPO_ROOT, "src"))
@@ -110,7 +135,7 @@ def test_every_route_must_be_demonstrated():
         stage = os.path.join(scratch, "repo")
         os.makedirs(os.path.join(stage, "benchmarks"))
         os.makedirs(os.path.join(stage, "tools"))
-        for doc in ("README.md", "ARCHITECTURE.md"):
+        for doc in ("README.md", "ARCHITECTURE.md", "Dockerfile"):
             shutil.copy(os.path.join(REPO_ROOT, doc), os.path.join(stage, doc))
         shutil.copy(
             os.path.join(REPO_ROOT, "benchmarks", "README.md"),

@@ -15,8 +15,6 @@ sweep store, byte-compared.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.caches.registry import design_names
@@ -262,41 +260,3 @@ class TestSweepStoreParity:
         scalar_store = self._sweep(tmp_path / "scalar")
         assert len(kernel_store.splitlines()) == len(self.SPEC.points())
         assert kernel_store == scalar_store
-
-
-class TestPerfHistory:
-    def test_append_history_records(self, tmp_path):
-        from repro.perf.bench import HISTORY_SCHEMA, append_history
-
-        payload = {
-            "protocol": {
-                "workload": "web_search", "capacity_mb": 256,
-                "num_requests": 1000, "seed": 0, "repeats": 1,
-                "engine": "vector",
-            },
-            "environment": {"commit": "abc123", "cpu": "TestCPU", "python": "3"},
-            "designs": {
-                "footprint": {
-                    "engine": "vector",
-                    "warm_requests_per_second": 500000.0,
-                    "cold_requests_per_second": 250000.0,
-                },
-                "block": {
-                    "engine": "vector",
-                    "warm_requests_per_second": 150000.0,
-                    "cold_requests_per_second": 100000.0,
-                },
-            },
-        }
-        path = tmp_path / "history.jsonl"
-        append_history(payload, str(path))
-        append_history(payload, str(path))  # append-only: grows, never rewrites
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(records) == 4
-        assert all(r["schema"] == HISTORY_SCHEMA for r in records)
-        designs = {(r["engine"], r["design"]) for r in records}
-        assert designs == {("vector", "footprint"), ("vector", "block")}
-        vector = next(r for r in records if r["design"] == "footprint")
-        assert vector["commit"] == "abc123"
-        assert vector["cpu"] == "TestCPU"
-        assert vector["warm_requests_per_second"] == 500000.0

@@ -6,7 +6,9 @@ user-facing docs must name a subcommand the live parser actually has,
 use only flags that subcommand defines, and (for ``store``) a valid
 action.  Every documented HTTP call against the serve API (curl lines
 and ``METHOD /api/v1/...`` mentions in fences) must match a route the
-live router actually exposes, with the right method.  This keeps
+live router actually exposes, with the right method.  The
+Dockerfile's exec-form ``CMD`` is held to the same parser, so the
+container launcher cannot keep a flag the CLI dropped.  This keeps
 README/ARCHITECTURE from drifting when the CLI or API evolves — the
 docs are checked against the parser and route table themselves, not a
 list that would itself go stale.
@@ -15,12 +17,14 @@ list that would itself go stale.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import re
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DOC_FILES = ("README.md", "ARCHITECTURE.md", os.path.join("benchmarks", "README.md"))
+DOCKERFILE = "Dockerfile"
 
 
 def iter_fenced_commands(text: str):
@@ -212,6 +216,29 @@ def check_command(command: str, parser: argparse.ArgumentParser):
     return problems
 
 
+def check_dockerfile(text: str, parser: argparse.ArgumentParser) -> list:
+    """All problems with the Dockerfile's exec-form ``CMD`` (empty = clean).
+
+    Backslash continuations are joined, the ``CMD`` JSON array is parsed
+    and joined back into one command line for :func:`check_command`.
+    """
+    logical = text.replace("\\\n", " ").splitlines()
+    cmds = [line.strip()[3:] for line in logical if line.strip()[:4].upper() == "CMD "]
+    if not cmds:
+        return ["no CMD instruction"]
+    problems = []
+    for cmd in cmds:
+        try:
+            argv = json.loads(cmd)
+        except ValueError:
+            argv = None
+        if not isinstance(argv, list) or argv[:3] != ["python", "-m", "repro"]:
+            problems.append(f"CMD {cmd.strip()!r} is not an exec-form python -m repro array")
+            continue
+        problems.extend(check_command(" ".join(argv), parser))
+    return problems
+
+
 def documented_subcommands(commands) -> set:
     """Subcommand names exercised by the documented invocations."""
     used = set()
@@ -252,13 +279,17 @@ def main() -> int:
             f"{doc}: {len(commands)} CLI invocation(s), "
             f"{len(calls)} API call(s) checked"
         )
+    with open(os.path.join(REPO_ROOT, DOCKERFILE)) as handle:
+        for problem in check_dockerfile(handle.read(), parser):
+            failures.append(f"{DOCKERFILE}: {problem}")
+    print(f"{DOCKERFILE}: CMD checked")
     if api_calls == 0:
         failures.append(
             "the serve API (/api/v1) is never demonstrated in "
             f"{', '.join(DOC_FILES)}"
         )
     # Coverage in the other direction: every live subcommand (sweep,
-    # report, perf, store, ...) must be demonstrated in at least one doc
+    # report, serve, store, ...) must be demonstrated in at least one doc
     # fence, so new CLI surface cannot land undocumented.
     missing = set(_subparsers(parser)) - documented_subcommands(all_commands)
     for name in sorted(missing):
