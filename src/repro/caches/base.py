@@ -121,18 +121,14 @@ class DramCache(abc.ABC):
         """1 - miss ratio."""
         return 1.0 - self.miss_ratio
 
-    def _critical_fetch_latency(self, fetch, total_bytes: int) -> int:
+    def _critical_fetch_latency(self, fetch_latency: int, total_bytes: int) -> int:
         """Latency until the *demand block* of a multi-block fetch returns.
 
-        Page-organised designs fetch several blocks in one burst but
-        forward the demanded block critical-block-first; the burst tail is
-        off the critical path.  The tail is bounded by what the controller
-        actually bursts on one bank (one interleave stripe).
+        The demanded block is forwarded critical-block-first, so the
+        controller's :meth:`~repro.dram.controller.MemoryController.critical_tail`
+        is off the critical path.
         """
-        timing = self.offchip.timing
-        stripe = min(total_bytes, self.offchip.mapping.interleave_bytes)
-        tail_bus_cycles = timing.burst_cycles(stripe) - timing.burst_cycles(self.block_size)
-        return fetch.latency - timing.to_cpu_cycles(max(0, tail_bus_cycles))
+        return fetch_latency - self.offchip.critical_tail(total_bytes, self.block_size)
 
     def _record(self, result: CacheAccessResult) -> CacheAccessResult:
         """Fold one access result into the shared statistics.
@@ -168,7 +164,7 @@ class BaselineMemory(DramCache):
 
     def access(self, request: MemoryRequest, now: int) -> CacheAccessResult:
         is_write = request.access_type is AccessType.WRITE
-        dram = self.offchip.access(
+        latency = self.offchip.access(
             request.address & self._block_mask,
             self.block_size,
             is_write,
@@ -177,7 +173,7 @@ class BaselineMemory(DramCache):
         return self._record(
             CacheAccessResult(
                 hit=False,
-                latency=dram.latency,
+                latency=latency,
                 fill_blocks=0 if is_write else 1,
             )
         )

@@ -76,7 +76,7 @@ class BlockBasedCache(DramCache):
         # Extra CAS for the in-DRAM tag read, in CPU cycles; the tag
         # write-back CAS is assumed off the critical path (Section 5.2).
         tag_bus_cycles = stacked.timing.t_cas + stacked.timing.burst_cycles(2 * block_size)
-        self._tag_read_penalty = stacked.timing.to_cpu_cycles(tag_bus_cycles)
+        self._tag_read_penalty = stacked.cpu_cycles(tag_bus_cycles)
 
     def _set_of(self, block_address: int) -> int:
         return (block_address // self.block_size) % self.num_sets
@@ -96,17 +96,16 @@ class BlockBasedCache(DramCache):
                     "MissMap claims presence for a block the tag store lost; "
                     "mark_absent was skipped somewhere"
                 )
-            dram = self.stacked.access(
+            latency += self.stacked.access(
                 self._row_address(block), self.block_size, is_write, now + latency
             )
-            latency += dram.latency + self._tag_read_penalty
+            latency += self._tag_read_penalty
             if is_write:
                 line.dirty = True
             return self._record(CacheAccessResult(hit=True, latency=latency))
 
         # Miss: demand block comes from off-chip memory (critical path).
-        fetch = self.offchip.access(block, self.block_size, False, now + latency)
-        latency += fetch.latency
+        latency += self.offchip.access(block, self.block_size, False, now + latency)
         writebacks = self._fill_block(block, is_write, now + latency)
         return self._record(
             CacheAccessResult(

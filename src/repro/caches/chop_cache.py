@@ -95,13 +95,12 @@ class ChopCache(PageBasedCache):
         latency = self.tag_latency
         if line is not None:
             offset = (address & self._offset_mask) >> self._block_shift
-            dram = self.stacked.access(
+            latency += self.stacked.access(
                 line.frame + (offset << self._block_shift),
                 self.block_size,
                 is_write,
                 now + latency,
             )
-            latency += dram.latency
             line.demanded_mask |= 1 << offset
             if is_write:
                 line.dirty_mask |= 1 << offset
@@ -113,8 +112,8 @@ class ChopCache(PageBasedCache):
             offset = (address & self._offset_mask) >> self._block_shift
             writebacks = self._make_room(page, now + latency)
             frame = self._frames.allocate(self._set_of(page))
-            fetch = self.offchip.access(page, self.page_size, False, now + latency)
-            latency += self._critical_fetch_latency(fetch, self.page_size)
+            fetch_latency = self.offchip.access(page, self.page_size, False, now + latency)
+            latency += self._critical_fetch_latency(fetch_latency, self.page_size)
             self.stacked.access(frame, self.page_size, True, now + latency)
             new_line = PageLine(frame=frame, demanded_mask=1 << offset)
             if is_write:
@@ -130,13 +129,12 @@ class ChopCache(PageBasedCache):
             )
 
         # Cold page: serve the block off-chip, bypassing the cache.
-        fetch = self.offchip.access(
+        latency += self.offchip.access(
             address & self._block_mask,
             self.block_size,
             is_write,
             now + latency,
         )
-        latency += fetch.latency
         return self._record(
             CacheAccessResult(
                 hit=False,

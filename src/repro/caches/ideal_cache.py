@@ -17,10 +17,10 @@ class IdealCache(DramCache):
     name = "ideal"
 
     def access(self, request: MemoryRequest, now: int) -> CacheAccessResult:
-        dram = self.stacked.access(
+        latency = self.stacked.access(
             request.address & self._block_mask,
             self.block_size,
             request.access_type is AccessType.WRITE,
             now,
         )
-        return self._record(CacheAccessResult(hit=True, latency=dram.latency))
+        return self._record(CacheAccessResult(hit=True, latency=latency))

@@ -126,13 +126,12 @@ class PageBasedCache(DramCache):
         latency = self.tag_latency
         line = self._tags.lookup(page)
         if line is not None:
-            dram = self.stacked.access(
+            latency += self.stacked.access(
                 line.frame + (offset << self._block_shift),
                 self.block_size,
                 is_write,
                 now + latency,
             )
-            latency += dram.latency
             line.demanded_mask |= 1 << offset
             if is_write:
                 line.dirty_mask |= 1 << offset
@@ -141,11 +140,11 @@ class PageBasedCache(DramCache):
         # Page miss: make room, then fetch the whole page from off-chip.
         writebacks = self._make_room(page, now + latency)
         frame = self._frames.allocate(self._set_of(page))
-        fetch = self.offchip.access(page, self.page_size, False, now + latency)
+        fetch_latency = self.offchip.access(page, self.page_size, False, now + latency)
         # Critical-block-first: the demanded block returns before the tail
         # of the page burst; the rest of the transfer is off the critical
         # path but fully charged to bandwidth and energy.
-        latency += self._critical_fetch_latency(fetch, self.page_size)
+        latency += self._critical_fetch_latency(fetch_latency, self.page_size)
         self.stacked.access(frame, self.page_size, True, now + latency)
         new_line = PageLine(frame=frame, demanded_mask=1 << offset)
         if is_write:

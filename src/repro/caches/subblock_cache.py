@@ -28,13 +28,12 @@ class SubBlockedCache(PageBasedCache):
         line = self._tags.lookup(page)
 
         if line is not None and line.demanded_mask & bit:
-            dram = self.stacked.access(
+            latency += self.stacked.access(
                 line.frame + (offset << self._block_shift),
                 self.block_size,
                 is_write,
                 now + latency,
             )
-            latency += dram.latency
             if is_write:
                 line.dirty_mask |= bit
             return self._record(CacheAccessResult(hit=True, latency=latency))
@@ -49,10 +48,9 @@ class SubBlockedCache(PageBasedCache):
         else:
             writebacks = 0
 
-        fetch = self.offchip.access(
+        latency += self.offchip.access(
             page + (offset << self._block_shift), self.block_size, False, now + latency
         )
-        latency += fetch.latency
         self.stacked.access(
             line.frame + (offset << self._block_shift),
             self.block_size,

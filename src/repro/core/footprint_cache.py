@@ -121,14 +121,14 @@ class FootprintCache(DramCache):
     ) -> CacheAccessResult:
         """Demanded block is resident: serve from stacked DRAM."""
         is_write = request.access_type is AccessType.WRITE
-        dram = self.stacked.access(
+        latency += self.stacked.access(
             entry.frame + (offset << self._block_shift),
             self.block_size,
             is_write,
             now + latency,
         )
         entry.blocks.mark_demanded(offset, dirty=is_write)
-        return CacheAccessResult(hit=True, latency=latency + dram.latency)
+        return CacheAccessResult(hit=True, latency=latency)
 
     def _underprediction_miss(
         self,
@@ -144,10 +144,9 @@ class FootprintCache(DramCache):
         off-chip round trip, exactly as in a sub-blocked cache.
         """
         self.stats.counter("underprediction_misses").increment()
-        fetch = self.offchip.access(
+        latency += self.offchip.access(
             request.address & self._block_mask, self.block_size, False, now + latency
         )
-        latency += fetch.latency
         self.stacked.access(
             entry.frame + (offset << self._block_shift),
             self.block_size,
@@ -228,7 +227,7 @@ class FootprintCache(DramCache):
         """Serve a predicted-singleton block off-chip without allocating."""
         self.stats.counter("singleton_bypasses").increment()
         is_write = request.access_type is AccessType.WRITE
-        fetch = self.offchip.access(
+        latency += self.offchip.access(
             request.address & self._block_mask,
             self.block_size,
             is_write,
@@ -238,7 +237,7 @@ class FootprintCache(DramCache):
             self.singleton_table.record_bypass(page, pc, offset)
         return CacheAccessResult(
             hit=False,
-            latency=latency + fetch.latency,
+            latency=latency,
             bypassed=True,
             # A bypassed read fetches one block; a bypassed write is
             # forwarded off-chip without fetching anything.
@@ -261,10 +260,10 @@ class FootprintCache(DramCache):
 
         fetch_blocks = _popcount(predicted_mask)
         fetch_bytes = fetch_blocks * self.block_size
-        fetch = self.offchip.access(page, fetch_bytes, False, now + latency)
+        fetch_latency = self.offchip.access(page, fetch_bytes, False, now + latency)
         # Critical-block-first: the demand block returns ahead of the rest
         # of the footprint burst.
-        latency += self._critical_fetch_latency(fetch, fetch_bytes)
+        latency += self._critical_fetch_latency(fetch_latency, fetch_bytes)
         self.stacked.access(entry.frame, fetch_bytes, True, now + latency)
 
         entry.blocks.install_prefetched(predicted_mask)

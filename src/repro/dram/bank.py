@@ -48,9 +48,9 @@ class Bank:
 
     ``__slots__`` because a controller holds channels x banks instances
     and the hot path reads/writes their fields constantly.  The
-    controller's access loop inlines this state machine
-    (:meth:`repro.dram.controller.MemoryController.access`); this class
-    remains the reference implementation and the unit-test surface.
+    controller's access loop and the replay kernels inline this state
+    machine and only use a bank's fields; :meth:`access` and
+    :meth:`reserve` remain the reference the tests compare against.
     """
 
     __slots__ = ("policy", "_open_row", "busy_until", "activate_count", "precharge_count")
@@ -101,14 +101,6 @@ class Bank:
         self.activate_count += activates
         self.precharge_count += precharges
         return BankAccess(outcome=outcome, activates=activates, precharges=precharges)
-
-    def precharge(self) -> bool:
-        """Explicitly close the open row; True if a row was open."""
-        if self._open_row is None:
-            return False
-        self._open_row = None
-        self.precharge_count += 1
-        return True
 
     def reserve(self, start: int, duration: int) -> int:
         """Serialise an access of ``duration`` cycles behind earlier ones.

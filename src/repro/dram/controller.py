@@ -12,9 +12,7 @@ parallelism/availability, and transfer size.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from repro.dram.address_mapping import AddressMapping
 from repro.dram.bank import Bank, RowBufferPolicy
@@ -22,40 +20,14 @@ from repro.dram.energy import DramEnergyCounters, DramEnergyModel
 from repro.dram.timing import DramTiming
 
 
-class AccessOutcome(enum.Enum):
-    """Row-buffer outcome of a DRAM access, for locality statistics."""
-
-    ROW_HIT = "row_hit"
-    ROW_CLOSED = "row_closed"
-    ROW_CONFLICT = "row_conflict"
-
-
-# Row-outcome codes used by the inlined bank state machine in access():
-# 0 = HIT, 1 = CLOSED, 2 = CONFLICT (mirrors RowOutcome's classification).
-_OUTCOME_CODES = (
-    AccessOutcome.ROW_HIT,
-    AccessOutcome.ROW_CLOSED,
-    AccessOutcome.ROW_CONFLICT,
-)
-
-
-@dataclass(slots=True)
-class DramAccessResult:
-    """Timing outcome of one access.
-
-    Created once per DRAM operation (a hot allocation), hence a
-    ``__slots__`` dataclass; treat instances as immutable records.
-    """
-
-    outcome: AccessOutcome
-    start_cycle: int
-    finish_cycle: int
-    latency: int
-    queue_cycles: int
-
-
 class MemoryController:
     """Controller for one DRAM instance (a set of identical channels).
+
+    The controller is the one owner of the DRAM timing arithmetic.  The
+    cache designs and the batch replay kernels take their cycle counts
+    from :meth:`cycle_table`, :meth:`critical_tail` and
+    :meth:`cpu_cycles`, and their bank/row from :meth:`locate`, all at
+    this controller's ``cpu_mhz``.
 
     Parameters
     ----------
@@ -90,34 +62,23 @@ class MemoryController:
         self.policy = policy
         self.cpu_mhz = cpu_mhz
         self.energy = DramEnergyCounters(model=energy_model or DramEnergyModel())
-        self._banks: List[List[Bank]] = [
-            [Bank(policy) for _ in range(mapping.banks_per_channel)]
-            for _ in range(mapping.channels)
+        # Channel-major: bank b of channel c is banks[c * banks_per_channel + b].
+        self.banks: List[Bank] = [
+            Bank(policy) for _ in range(mapping.channels * mapping.banks_per_channel)
         ]
         self.access_count = 0
         self.row_hit_count = 0
         self.busy_cpu_cycles = 0
         self.bytes_read = 0
         self.bytes_written = 0
-        # --- hot-path constants, computed once instead of per access ---
-        # Address decomposition (mirrors AddressMapping.locate exactly).
+        # Address decomposition constants (see locate).
         self._interleave_bytes = mapping.interleave_bytes
         self._channels = mapping.channels
         self._banks_per_channel = mapping.banks_per_channel
         self._chunks_per_row = max(1, mapping.row_bytes // mapping.interleave_bytes)
-        # Row-operation bus cycles per outcome, write-recovery policy.
         self._close_page = policy is RowBufferPolicy.CLOSE_PAGE
-        self._row_cycles = (
-            timing.row_hit_bus_cycles,       # RowOutcome HIT  -> code 0
-            timing.row_closed_bus_cycles,    # RowOutcome CLOSED -> code 1
-            timing.row_conflict_bus_cycles,  # RowOutcome CONFLICT -> code 2
-        )
-        self._write_recovery = timing.t_wr if self._close_page else 0
-        # (num_bytes, outcome_code, is_write) -> device CPU cycles.  The
-        # distinct transfer sizes per run are few (block, footprint
-        # multiples, page), so this memo removes the burst/row/convert
-        # arithmetic from the per-access path without changing one cycle.
-        self._device_cycles: dict = {}
+        # num_bytes -> cycle_table(num_bytes).
+        self._cycle_tables: dict = {}
         # Per-event energy constants (same factors record_read/record_write
         # multiply by; the division by 64.0 is exact, so inlining keeps the
         # accumulated floats bit-identical).
@@ -126,21 +87,80 @@ class MemoryController:
         self._read_nj_per_64b = model.read_burst_nj_per_64b
         self._write_nj_per_64b = model.write_burst_nj_per_64b
 
-    def access(self, address: int, num_bytes: int, is_write: bool, now: int = 0) -> DramAccessResult:
-        """Perform one access of ``num_bytes`` starting at CPU cycle ``now``.
+    def cpu_cycles(self, bus_cycles: int) -> int:
+        """``bus_cycles`` of this device in CPU cycles at ``cpu_mhz``."""
+        return self.timing.to_cpu_cycles(bus_cycles, self.cpu_mhz)
 
-        ``num_bytes`` is the full transfer for this DRAM operation (64B for
-        a block fetch, up to a page for a page fill).  Transfers larger than
-        the interleave unit are striped across channels; we model the
-        latency of the critical path (the widest stripe on one bank) and
-        charge energy for all of it.
+    def locate(self, address) -> Tuple[int, int]:
+        """``(bank, row)`` of ``address``; ``bank`` indexes :attr:`banks`.
 
-        The body is the de-virtualised equivalent of address
-        ``mapping.locate`` + ``bank.access`` + timing/energy accounting:
-        same arithmetic in the same order, with the per-access lookups and
-        intermediate objects hoisted into construction-time constants (see
-        ``__init__``).  ``Bank.access`` remains the reference state
-        machine; ``tests/test_controller.py`` pins the equivalence.
+        Plain integer arithmetic, so a NumPy array of non-negative
+        addresses decomposes elementwise too.  Equals
+        ``AddressMapping.locate`` with the channel folded into the flat
+        bank index.
+        """
+        chunk = address // self._interleave_bytes
+        upper = chunk // self._channels
+        return (
+            chunk % self._channels * self._banks_per_channel
+            + upper % self._banks_per_channel,
+            upper // self._banks_per_channel // self._chunks_per_row,
+        )
+
+    def cycle_table(self, num_bytes: int) -> Tuple[int, ...]:
+        """CPU cycles a ``num_bytes`` access holds its bank, per outcome.
+
+        A 6-tuple indexed ``is_write * 3 + code``, with row-buffer code
+        0 = hit, 1 = closed (activate) and 2 = conflict (precharge +
+        activate).  Each entry is the row operation, plus write recovery
+        for close-page writes, plus the burst of the widest stripe on one
+        bank.  Memoised per size: a run uses few distinct sizes.
+        """
+        table = self._cycle_tables.get(num_bytes)
+        if table is None:
+            timing = self.timing
+            burst = timing.burst_cycles(min(num_bytes, self._interleave_bytes))
+            recovery = timing.t_wr if self._close_page else 0
+            rows = (
+                timing.row_hit_bus_cycles,
+                timing.row_closed_bus_cycles,
+                timing.row_conflict_bus_cycles,
+            )
+            table = tuple(
+                self.cpu_cycles(row + write + burst)
+                for write in (0, recovery)
+                for row in rows
+            )
+            self._cycle_tables[num_bytes] = table
+        return table
+
+    def critical_tail(self, num_bytes: int, block_size: int) -> int:
+        """CPU cycles of a ``num_bytes`` burst after its first block.
+
+        Page-organised designs fetch several blocks in one burst but
+        forward the demanded block critical-block-first; the burst tail is
+        off the critical path.  The tail is bounded by what one bank
+        bursts (one interleave stripe).
+        """
+        timing = self.timing
+        stripe = min(num_bytes, self._interleave_bytes)
+        tail = timing.burst_cycles(stripe) - timing.burst_cycles(block_size)
+        return self.cpu_cycles(max(0, tail))
+
+    def access(self, address: int, num_bytes: int, is_write: bool, now: int = 0) -> int:
+        """Perform one access of ``num_bytes`` at CPU cycle ``now``.
+
+        Returns the latency in CPU cycles: queue wait for the bank plus
+        the bank's :meth:`cycle_table` time.  ``num_bytes`` is the full
+        transfer for this DRAM operation (64B for a block fetch, up to a
+        page for a page fill).  Transfers larger than the interleave unit
+        are striped across channels; we model the latency of the critical
+        path (the widest stripe on one bank) and charge energy for all of
+        it.
+
+        The row-buffer state machine and energy accounting are inlined;
+        ``Bank.access`` and ``AddressMapping.locate`` remain the reference
+        that ``tests/test_controller.py`` compares against.
         """
         if num_bytes <= 0:
             raise ValueError("num_bytes must be positive")
@@ -149,12 +169,8 @@ class MemoryController:
         if address < 0:
             raise ValueError("address must be non-negative")
 
-        # Address decomposition (== mapping.locate(address)).
-        chunk = address // self._interleave_bytes
-        channel = chunk % self._channels
-        chunk //= self._channels
-        bank = self._banks[channel][chunk % self._banks_per_channel]
-        row = chunk // self._banks_per_channel // self._chunks_per_row
+        index, row = self.locate(address)
+        bank = self.banks[index]
 
         # Bank row-buffer state machine (== bank.access(row)).
         open_row = bank._open_row
@@ -179,26 +195,16 @@ class MemoryController:
         bank.activate_count += activates
         bank.precharge_count += precharges
 
-        # Device cycles (== to_cpu_cycles(row op + burst [+ t_wr])).
-        cycles_key = (num_bytes, outcome_code, is_write)
-        device_cycles = self._device_cycles.get(cycles_key)
-        if device_cycles is None:
-            row_bus_cycles = self._row_cycles[outcome_code]
-            stripe_bytes = min(num_bytes, self._interleave_bytes)
-            burst_bus_cycles = self.timing.burst_cycles(stripe_bytes)
-            if is_write:
-                row_bus_cycles += self._write_recovery
-            device_cycles = self.timing.to_cpu_cycles(
-                row_bus_cycles + burst_bus_cycles, self.cpu_mhz
-            )
-            self._device_cycles[cycles_key] = device_cycles
+        device_cycles = self.cycle_table(num_bytes)[
+            3 + outcome_code if is_write else outcome_code
+        ]
 
         # Bank occupancy (== bank.reserve(now, device_cycles)).
         start = bank.busy_until
         if start < now:
             start = now
-        bank.busy_until = start + device_cycles
         finish = start + device_cycles
+        bank.busy_until = finish
 
         # Energy and traffic (== energy.record_* with the same float ops).
         if activates:
@@ -214,14 +220,7 @@ class MemoryController:
         if outcome_code == 0:
             self.row_hit_count += 1
         self.busy_cpu_cycles += device_cycles
-
-        return DramAccessResult(
-            outcome=_OUTCOME_CODES[outcome_code],
-            start_cycle=start,
-            finish_cycle=finish,
-            latency=finish - now,
-            queue_cycles=start - now,
-        )
+        return finish - now
 
     @property
     def channels(self) -> int:
@@ -265,6 +264,5 @@ class MemoryController:
         self.bytes_read = 0
         self.bytes_written = 0
         self.energy.reset()
-        for channel_banks in self._banks:
-            for bank in channel_banks:
-                bank.reset_stats()
+        for bank in self.banks:
+            bank.reset_stats()

@@ -64,8 +64,12 @@ class DramTiming:
         beats = max(beats, self.burst_length)
         return -(-beats // 2)
 
-    def to_cpu_cycles(self, bus_cycles: int, cpu_mhz: int = 3000) -> int:
-        """Convert device bus cycles to CPU cycles (rounding up)."""
+    def to_cpu_cycles(self, bus_cycles: int, cpu_mhz: int) -> int:
+        """Convert device bus cycles to CPU cycles at ``cpu_mhz`` (rounding up).
+
+        There is no default clock: simulation code converts through
+        ``MemoryController.cpu_cycles``, which passes the system's clock.
+        """
         if bus_cycles < 0:
             raise ValueError("bus_cycles must be non-negative")
         return -(-bus_cycles * cpu_mhz // self.bus_mhz)

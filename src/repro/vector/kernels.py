@@ -30,9 +30,11 @@ Mirroring rules that make the parity hold to the last bit:
   adds the same addends in the same stream order as the reference, the
   IEEE rounding sequence is identical — which is also why energy adds
   can NOT be batched like the integer counters.
-* Device-cycle memo lookups go through the controller's own
-  ``_device_cycles`` dict, so memoisation is shared with any scalar
-  code that runs before or after.
+* Device cycles, critical-block tails and bank/row decomposition come
+  from the controller's own ``cycle_table``, ``critical_tail`` and
+  ``locate``, bound to locals before the loop.  The kernels hold no copy
+  of the DRAM timing arithmetic, only the inlined open-page state
+  machine that picks an entry of a cycle table.
 * When the stacked controller's interleave stripe is a whole number of
   cache pages, every address inside a page frame decomposes to the same
   (bank, row); the kernels then precompute one bank/row pair per frame
@@ -64,6 +66,7 @@ from repro.core.footprint_cache import FootprintCache
 from repro.core.footprint_predictor import FootprintHistoryTable, _FhtEntry
 from repro.core.singleton_table import SingletonEntry, SingletonTable
 from repro.core.tag_array import PageEntry
+from repro.dram.bank import RowBufferPolicy
 from repro.dram.controller import MemoryController
 
 _FHT_HASH_PC = 0x9E3779B1
@@ -72,7 +75,10 @@ _FHT_HASH_OFFSET = 0x85EBCA77
 
 def _plain_open_page(controller) -> bool:
     """True when the inlined controller model applies exactly."""
-    return type(controller) is MemoryController and not controller._close_page
+    return (
+        type(controller) is MemoryController
+        and controller.policy is RowBufferPolicy.OPEN_PAGE
+    )
 
 
 def _lru_sets(sram) -> bool:
@@ -81,72 +87,22 @@ def _lru_sets(sram) -> bool:
     return bool(policies) and all(type(p) is LruPolicy for p in policies)
 
 
-def _cycles(controller, num_bytes: int, code: int, is_write: bool) -> int:
-    """Device CPU cycles for one access, seeded into the controller memo.
+def _energy_per_event(controller, block_size: int):
+    """(activate, block read, block write, read per 64B, write per 64B) nJ.
 
-    Exactly ``MemoryController.access``'s miss path for its
-    ``_device_cycles`` dict, so inlined lookups and any scalar-path
-    lookups observe the same values.
+    Same factors and operand order as the reference's per-access
+    ``num_bytes / 64.0 * per_64b``, so the sums round identically.
     """
-    row_bus_cycles = controller._row_cycles[code]
-    stripe_bytes = min(num_bytes, controller._interleave_bytes)
-    burst_bus_cycles = controller.timing.burst_cycles(stripe_bytes)
-    if is_write:
-        row_bus_cycles += controller._write_recovery
-    cycles = controller.timing.to_cpu_cycles(
-        row_bus_cycles + burst_bus_cycles, controller.cpu_mhz
+    model = controller.energy.model
+    read64 = model.read_burst_nj_per_64b
+    write64 = model.write_burst_nj_per_64b
+    return (
+        model.activate_precharge_nj,
+        block_size / 64.0 * read64,
+        block_size / 64.0 * write64,
+        read64,
+        write64,
     )
-    controller._device_cycles[(num_bytes, code, is_write)] = cycles
-    return cycles
-
-
-def _device_cycle_table(controller, num_bytes: int):
-    """Device-cycle table for one size, indexed ``is_write * 3 + code``."""
-    table = []
-    for is_write in (False, True):
-        for code in (0, 1, 2):
-            cycles = controller._device_cycles.get((num_bytes, code, is_write))
-            if cycles is None:
-                cycles = _cycles(controller, num_bytes, code, is_write)
-            table.append(cycles)
-    return tuple(table)
-
-
-class _Dram:
-    """Inline-access constants of one open-page controller."""
-
-    __slots__ = (
-        "controller", "interleave", "channels", "banks_per_channel",
-        "chunks_per_row", "banks", "table", "act_nj", "read_nj", "write_nj",
-        "read_nj_per_64b", "write_nj_per_64b", "memo",
-    )
-
-    def __init__(self, controller, block_size: int) -> None:
-        self.controller = controller
-        self.interleave = controller._interleave_bytes
-        self.channels = controller._channels
-        self.banks_per_channel = controller._banks_per_channel
-        self.chunks_per_row = controller._chunks_per_row
-        self.banks = [bank for channel in controller._banks for bank in channel]
-        self.table = _device_cycle_table(controller, block_size)
-        self.act_nj = controller._activate_nj
-        # Block-size energy constants: same expression, same operand
-        # order as the reference's per-access ``num_bytes/64.0 * per64``.
-        self.read_nj = block_size / 64.0 * controller._read_nj_per_64b
-        self.write_nj = block_size / 64.0 * controller._write_nj_per_64b
-        self.read_nj_per_64b = controller._read_nj_per_64b
-        self.write_nj_per_64b = controller._write_nj_per_64b
-        self.memo = controller._device_cycles
-
-    def decompose(self, address: int):
-        """(bank, row) of one address — the reference's mapping, memoless."""
-        chunk = address // self.interleave
-        c2 = chunk // self.channels
-        bank = self.banks[
-            chunk % self.channels * self.banks_per_channel
-            + c2 % self.banks_per_channel
-        ]
-        return bank, c2 // self.banks_per_channel // self.chunks_per_row
 
 
 class _BaselineKernel:
@@ -168,29 +124,25 @@ class _BaselineKernel:
         self.perf = sim.perf
         self.block_size = cache.block_size
         self.block_mask = np.int64(cache._block_mask)
-        self.offchip = _Dram(cache.offchip, cache.block_size)
 
     def run_segment(self, cols) -> int:
         m = len(cols)
         if m == 0:
             return 0
-        od = self.offchip
-        controller = od.controller
-        chunk = (cols.addresses & self.block_mask) // od.interleave
-        c2 = chunk // od.channels
-        flat_l = (chunk % od.channels * od.banks_per_channel + c2 % od.banks_per_channel).tolist()
-        rows_l = (c2 // od.banks_per_channel // od.chunks_per_row).tolist()
+        bs = self.block_size
+        controller = self.cache.offchip
+        flat, rows = controller.locate(cols.addresses & self.block_mask)
+        flat_l = flat.tolist()
+        rows_l = rows.tolist()
         writes_l = cols.writes.tolist()
         perf = self.perf
         cores_l = (cols.core_ids % perf.num_cores).tolist()
         icb_l = (cols.instruction_counts * perf.base_cpi).tolist()
         exposed = perf.exposed_latency_fraction
         ct = perf._core_time
-        banks = od.banks
-        table = od.table
-        act_nj = od.act_nj
-        rd_nj = od.read_nj
-        wr_nj = od.write_nj
+        banks = controller.banks
+        table = controller.cycle_table(bs)
+        act_nj, rd_nj, wr_nj, _, _ = _energy_per_event(controller, bs)
         energy = controller.energy
         e_act = energy.activate_precharge_nj
         e_rd = energy.read_nj
@@ -236,7 +188,6 @@ class _BaselineKernel:
         energy.read_nj = e_rd
         energy.write_nj = e_wr
         reads_seen = m - writes_seen
-        bs = self.block_size
         controller.access_count += m
         controller.row_hit_count += row_hits
         controller.busy_cpu_cycles += busy
@@ -263,13 +214,7 @@ class _StackedKernelBase:
         self.block_shift = cache._block_shift
         self.blocks_per_page = cache.blocks_per_page
         self.tag_latency = cache.tag_latency
-        self.stacked = _Dram(cache.stacked, cache.block_size)
-        self.offchip = _Dram(cache.offchip, cache.block_size)
-        # Page-sized tables for the fetch/fill pair of a page miss.
-        self.stacked_page_table = _device_cycle_table(cache.stacked, self.page_size)
-        self.offchip_page_table = _device_cycle_table(cache.offchip, self.page_size)
-        # Critical-block-first burst tails by fetch size, computed with
-        # DramCache._critical_fetch_latency's exact expression.
+        # Off-chip critical-block tails by fetch size (critical_tail memo).
         self._tails = {}
         self._hist = None
 
@@ -281,25 +226,14 @@ class _StackedKernelBase:
         for every in-page offset, so bank and row are functions of the
         frame alone.
         """
-        sd = self.stacked
-        if sd.interleave % self.page_size == 0:
-            pairs = [sd.decompose(fid * self.page_size) for fid in range(num_frames)]
-            self.frame_banks = [bank for bank, _ in pairs]
-            self.frame_rows = [row for _, row in pairs]
+        stacked = self.cache.stacked
+        if stacked.mapping.interleave_bytes % self.page_size == 0:
+            frames = np.arange(num_frames, dtype=np.int64) * self.page_size
+            flat, rows = stacked.locate(frames)
+            self.frame_banks = [stacked.banks[index] for index in flat.tolist()]
+            self.frame_rows = rows.tolist()
         else:
             self.frame_banks = self.frame_rows = None
-
-    def _tail(self, num_bytes: int) -> int:
-        """Memoised off-critical-path burst tail for one fetch size."""
-        tail = self._tails.get(num_bytes)
-        if tail is None:
-            offchip = self.cache.offchip
-            timing = offchip.timing
-            stripe = min(num_bytes, offchip.mapping.interleave_bytes)
-            tail_bus = timing.burst_cycles(stripe) - timing.burst_cycles(self.block_size)
-            tail = timing.to_cpu_cycles(max(0, tail_bus))
-            self._tails[num_bytes] = tail
-        return tail
 
     def _histogram(self):
         """The eviction-density histogram, created on first eviction.
@@ -374,26 +308,22 @@ class _PageKernel(_StackedKernelBase):
         frame_free = self.frame_free
         mru = self.mru
 
-        sd = self.stacked
-        od = self.offchip
+        s_ctrl, o_ctrl = cache.stacked, cache.offchip
+        s_banks, o_banks = s_ctrl.banks, o_ctrl.banks
+        s_locate, o_locate = s_ctrl.locate, o_ctrl.locate
+        s_cycles, o_cycles = s_ctrl.cycle_table, o_ctrl.cycle_table
         s_fbank = self.frame_banks
         s_frow = self.frame_rows
         fast = s_fbank is not None
-        s_table = sd.table
-        s_page_table = self.stacked_page_table
-        o_page_table = self.offchip_page_table
-        s_memo, o_memo = sd.memo, od.memo
-        s_ctrl, o_ctrl = sd.controller, od.controller
+        s_table = s_cycles(bs)
+        s_page_table = s_cycles(page_size)
+        o_page_table = o_cycles(page_size)
         s_energy, o_energy = s_ctrl.energy, o_ctrl.energy
         se_act, se_rd, se_wr = s_energy.activate_precharge_nj, s_energy.read_nj, s_energy.write_nj
         oe_act, oe_rd, oe_wr = o_energy.activate_precharge_nj, o_energy.read_nj, o_energy.write_nj
-        s_act_nj, s_rd_nj, s_wr_nj = sd.act_nj, sd.read_nj, sd.write_nj
-        o_act_nj = od.act_nj
-        s_rd64, s_wr64 = sd.read_nj_per_64b, sd.write_nj_per_64b
-        o_rd64, o_wr64 = od.read_nj_per_64b, od.write_nj_per_64b
-        s_decompose = sd.decompose
-        o_decompose = od.decompose
-        tail_page = self._tail(page_size)
+        s_act_nj, s_rd_nj, s_wr_nj, s_rd64, s_wr64 = _energy_per_event(s_ctrl, bs)
+        o_act_nj, _, _, o_rd64, o_wr64 = _energy_per_event(o_ctrl, bs)
+        tail_page = o_ctrl.critical_tail(page_size, bs)
 
         s_rowhit = s_busy = 0
         o_rowhit = o_busy = 0
@@ -423,7 +353,8 @@ class _PageKernel(_StackedKernelBase):
                     bank = s_fbank[fid]
                     row = s_frow[fid]
                 else:
-                    bank, row = s_decompose(frame + (offs_l[k] << bshift))
+                    bi, row = s_locate(frame + (offs_l[k] << bshift))
+                    bank = s_banks[bi]
                 orow = bank._open_row
                 if orow == row:
                     dc = s_table[w * 3]
@@ -472,7 +403,8 @@ class _PageKernel(_StackedKernelBase):
                             bank = s_fbank[fid]
                             row = s_frow[fid]
                         else:
-                            bank, row = s_decompose(vline.frame)
+                            bi, row = s_locate(vline.frame)
+                            bank = s_banks[bi]
                         orow = bank._open_row
                         if orow == row:
                             code = 0
@@ -486,9 +418,7 @@ class _PageKernel(_StackedKernelBase):
                             else:
                                 code = 2
                                 bank.precharge_count += 1
-                        dc = s_memo.get((nb, code, False))
-                        if dc is None:
-                            dc = _cycles(s_ctrl, nb, code, False)
+                        dc = s_cycles(nb)[code]
                         bz = bank.busy_until
                         start = bz if bz > now_mr else now_mr
                         bank.busy_until = start + dc
@@ -496,7 +426,8 @@ class _PageKernel(_StackedKernelBase):
                         se_rd += nb / 64.0 * s_rd64
                         s_brd_v += nb
                         # off-chip write-back of the same bytes
-                        bank, row = o_decompose(vpage)
+                        bi, row = o_locate(vpage)
+                        bank = o_banks[bi]
                         orow = bank._open_row
                         if orow == row:
                             code = 0
@@ -510,9 +441,7 @@ class _PageKernel(_StackedKernelBase):
                             else:
                                 code = 2
                                 bank.precharge_count += 1
-                        dc = o_memo.get((nb, code, True))
-                        if dc is None:
-                            dc = _cycles(o_ctrl, nb, code, True)
+                        dc = o_cycles(nb)[3 + code]
                         bz = bank.busy_until
                         start = bz if bz > now_mr else now_mr
                         bank.busy_until = start + dc
@@ -528,7 +457,8 @@ class _PageKernel(_StackedKernelBase):
                 n_alloc += 1
                 frame = (sid * assoc + frame_free[sid].pop()) * page_size
                 # off-chip page fetch (read)
-                bank, row = o_decompose(page)
+                bi, row = o_locate(page)
+                bank = o_banks[bi]
                 orow = bank._open_row
                 if orow == row:
                     dc = o_page_table[0]
@@ -556,7 +486,8 @@ class _PageKernel(_StackedKernelBase):
                     bank = s_fbank[fid]
                     row = s_frow[fid]
                 else:
-                    bank, row = s_decompose(frame)
+                    bi, row = s_locate(frame)
+                    bank = s_banks[bi]
                 orow = bank._open_row
                 if orow == row:
                     dc = s_page_table[3]
@@ -697,24 +628,21 @@ class _FootprintKernel(_StackedKernelBase):
             st_sets = self.st_sets
             st_assoc = self.st_assoc
 
-        sd = self.stacked
-        od = self.offchip
+        s_ctrl, o_ctrl = cache.stacked, cache.offchip
+        s_banks, o_banks = s_ctrl.banks, o_ctrl.banks
+        s_locate, o_locate = s_ctrl.locate, o_ctrl.locate
+        s_cycles, o_cycles = s_ctrl.cycle_table, o_ctrl.cycle_table
+        o_tail = o_ctrl.critical_tail
         s_fbank = self.frame_banks
         s_frow = self.frame_rows
         fast = s_fbank is not None
-        s_table = sd.table
-        o_table = od.table
-        s_memo, o_memo = sd.memo, od.memo
-        s_ctrl, o_ctrl = sd.controller, od.controller
+        s_table = s_cycles(bs)
+        o_table = o_cycles(bs)
         s_energy, o_energy = s_ctrl.energy, o_ctrl.energy
         se_act, se_rd, se_wr = s_energy.activate_precharge_nj, s_energy.read_nj, s_energy.write_nj
         oe_act, oe_rd, oe_wr = o_energy.activate_precharge_nj, o_energy.read_nj, o_energy.write_nj
-        s_act_nj, s_rd_nj, s_wr_nj = sd.act_nj, sd.read_nj, sd.write_nj
-        o_act_nj, o_rd_nj, o_wr_nj = od.act_nj, od.read_nj, od.write_nj
-        s_rd64, s_wr64 = sd.read_nj_per_64b, sd.write_nj_per_64b
-        o_rd64, o_wr64 = od.read_nj_per_64b, od.write_nj_per_64b
-        s_decompose = sd.decompose
-        o_decompose = od.decompose
+        s_act_nj, s_rd_nj, s_wr_nj, s_rd64, s_wr64 = _energy_per_event(s_ctrl, bs)
+        o_act_nj, o_rd_nj, o_wr_nj, o_rd64, o_wr64 = _energy_per_event(o_ctrl, bs)
         tails = self._tails
 
         s_rowhit = s_busy = 0
@@ -755,7 +683,8 @@ class _FootprintKernel(_StackedKernelBase):
                         bank = s_fbank[fid]
                         row = s_frow[fid]
                     else:
-                        bank, row = s_decompose(entry.frame + (off << bshift))
+                        bi, row = s_locate(entry.frame + (off << bshift))
+                        bank = s_banks[bi]
                     orow = bank._open_row
                     if orow == row:
                         dc = s_table[w * 3]
@@ -792,7 +721,8 @@ class _FootprintKernel(_StackedKernelBase):
                     nowi = int(t)
                     nowx = nowi + tagl
                     # off-chip block read (block address == page + offset)
-                    bank, row = o_decompose(page + (off << bshift))
+                    bi, row = o_locate(page + (off << bshift))
+                    bank = o_banks[bi]
                     orow = bank._open_row
                     if orow == row:
                         dc = o_table[0]
@@ -820,7 +750,8 @@ class _FootprintKernel(_StackedKernelBase):
                         bank = s_fbank[fid]
                         row = s_frow[fid]
                     else:
-                        bank, row = s_decompose(entry.frame + (off << bshift))
+                        bi, row = s_locate(entry.frame + (off << bshift))
+                        bank = s_banks[bi]
                     orow = bank._open_row
                     if orow == row:
                         dc = s_table[3]
@@ -912,7 +843,8 @@ class _FootprintKernel(_StackedKernelBase):
                 # ---- singleton bypass: one off-chip block op --------
                 n_byp += 1
                 nowx = nowi + tagl
-                bank, row = o_decompose(page + (off << bshift))
+                bi, row = o_locate(page + (off << bshift))
+                bank = o_banks[bi]
                 orow = bank._open_row
                 if orow == row:
                     dc = o_table[w * 3]
@@ -998,7 +930,8 @@ class _FootprintKernel(_StackedKernelBase):
                         bank = s_fbank[fid]
                         row = s_frow[fid]
                     else:
-                        bank, row = s_decompose(ventry.frame)
+                        bi, row = s_locate(ventry.frame)
+                        bank = s_banks[bi]
                     orow = bank._open_row
                     if orow == row:
                         code = 0
@@ -1012,9 +945,7 @@ class _FootprintKernel(_StackedKernelBase):
                         else:
                             code = 2
                             bank.precharge_count += 1
-                    dc = s_memo.get((nb, code, False))
-                    if dc is None:
-                        dc = _cycles(s_ctrl, nb, code, False)
+                    dc = s_cycles(nb)[code]
                     bz = bank.busy_until
                     start = bz if bz > now_mr else now_mr
                     bank.busy_until = start + dc
@@ -1022,7 +953,8 @@ class _FootprintKernel(_StackedKernelBase):
                     se_rd += nb / 64.0 * s_rd64
                     s_brd_v += nb
                     # off-chip write-back
-                    bank, row = o_decompose(vpage)
+                    bi, row = o_locate(vpage)
+                    bank = o_banks[bi]
                     orow = bank._open_row
                     if orow == row:
                         code = 0
@@ -1036,9 +968,7 @@ class _FootprintKernel(_StackedKernelBase):
                         else:
                             code = 2
                             bank.precharge_count += 1
-                    dc = o_memo.get((nb, code, True))
-                    if dc is None:
-                        dc = _cycles(o_ctrl, nb, code, True)
+                    dc = o_cycles(nb)[3 + code]
                     bz = bank.busy_until
                     start = bz if bz > now_mr else now_mr
                     bank.busy_until = start + dc
@@ -1057,7 +987,8 @@ class _FootprintKernel(_StackedKernelBase):
             fb = pmask.bit_count()
             nb = fb * bs
             # off-chip footprint fetch (read)
-            bank, row = o_decompose(page)
+            bi, row = o_locate(page)
+            bank = o_banks[bi]
             orow = bank._open_row
             if orow == row:
                 code = 0
@@ -1071,9 +1002,7 @@ class _FootprintKernel(_StackedKernelBase):
                 else:
                     code = 2
                     bank.precharge_count += 1
-            dc = o_memo.get((nb, code, False))
-            if dc is None:
-                dc = _cycles(o_ctrl, nb, code, False)
+            dc = o_cycles(nb)[code]
             bz = bank.busy_until
             start = bz if bz > now_mr else now_mr
             finish = start + dc
@@ -1083,7 +1012,7 @@ class _FootprintKernel(_StackedKernelBase):
             o_brd_v += nb
             tail = tails.get(nb)
             if tail is None:
-                tail = self._tail(nb)
+                tail = tails[nb] = o_tail(nb, bs)
             latency = tagl + ((finish - now_mr) - tail)
             # stacked footprint fill (write)
             nowf = nowi + latency
@@ -1092,7 +1021,8 @@ class _FootprintKernel(_StackedKernelBase):
                 bank = s_fbank[fid]
                 row = s_frow[fid]
             else:
-                bank, row = s_decompose(frame)
+                bi, row = s_locate(frame)
+                bank = s_banks[bi]
             orow = bank._open_row
             if orow == row:
                 code = 0
@@ -1106,9 +1036,7 @@ class _FootprintKernel(_StackedKernelBase):
                 else:
                     code = 2
                     bank.precharge_count += 1
-            dc = s_memo.get((nb, code, True))
-            if dc is None:
-                dc = _cycles(s_ctrl, nb, code, True)
+            dc = s_cycles(nb)[3 + code]
             bz = bank.busy_until
             start = bz if bz > nowf else nowf
             bank.busy_until = start + dc

@@ -59,19 +59,6 @@ class TestClosePage:
         assert bank.activate_count == bank.precharge_count == 4
 
 
-class TestPrecharge:
-    def test_explicit_precharge(self):
-        bank = Bank(RowBufferPolicy.OPEN_PAGE)
-        bank.access(3)
-        assert bank.precharge() is True
-        assert bank.open_row is None
-
-    def test_precharge_when_closed_is_noop(self):
-        bank = Bank()
-        assert bank.precharge() is False
-        assert bank.precharge_count == 0
-
-
 class TestReserve:
     def test_idle_bank_starts_immediately(self):
         bank = Bank()

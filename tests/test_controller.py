@@ -4,7 +4,7 @@ import pytest
 
 from repro.dram.address_mapping import AddressMapping
 from repro.dram.bank import RowBufferPolicy
-from repro.dram.controller import AccessOutcome, MemoryController
+from repro.dram.controller import MemoryController
 from repro.dram.timing import OFF_CHIP_DDR3_1600, STACKED_DDR3_3200
 
 
@@ -18,23 +18,41 @@ def make_controller(policy=RowBufferPolicy.OPEN_PAGE, channels=1, interleave=204
     )
 
 
+def device_cycles(controller, row_bus_cycles, num_bytes):
+    """Unqueued latency of one access, from the timing parameters."""
+    timing = controller.timing
+    return timing.to_cpu_cycles(
+        row_bus_cycles + timing.burst_cycles(num_bytes), controller.cpu_mhz
+    )
+
+
 class TestBasicAccess:
     def test_first_access_row_closed(self):
         controller = make_controller()
-        result = controller.access(0, 64, False, now=0)
-        assert result.outcome is AccessOutcome.ROW_CLOSED
-        assert result.queue_cycles == 0
-        assert result.latency > 0
+        latency = controller.access(0, 64, False, now=0)
+        bank = controller.banks[0]
+        assert (bank.activate_count, bank.precharge_count) == (1, 0)
+        assert controller.row_hit_count == 0
+        # Unqueued: the latency is exactly the closed-row device time.
+        closed = OFF_CHIP_DDR3_1600.row_closed_bus_cycles
+        assert latency == device_cycles(controller, closed, 64) > 0
+        assert bank.busy_until == latency
 
     def test_row_hit_faster_than_conflict(self):
         controller = make_controller()
         controller.access(0, 64, False, 0)
         hit = controller.access(64, 64, False, 10_000)
-        assert hit.outcome is AccessOutcome.ROW_HIT
+        assert controller.row_hit_count == 1
+        assert hit == device_cycles(controller, OFF_CHIP_DDR3_1600.row_hit_bus_cycles, 64)
         # Another row in the same bank: stride past all channels/banks/rows.
         conflict = controller.access(8 * 2048, 64, False, 20_000)
-        assert conflict.outcome is AccessOutcome.ROW_CONFLICT
-        assert hit.latency < conflict.latency
+        bank = controller.banks[0]
+        assert controller.row_hit_count == 1
+        assert (bank.activate_count, bank.precharge_count) == (2, 1)
+        assert conflict == device_cycles(
+            controller, OFF_CHIP_DDR3_1600.row_conflict_bus_cycles, 64
+        )
+        assert hit < conflict
 
     def test_invalid_arguments(self):
         controller = make_controller()
@@ -49,16 +67,20 @@ class TestQueueing:
         controller = make_controller()
         first = controller.access(0, 2048, False, 0)
         second = controller.access(0, 2048, False, 0)
-        assert second.start_cycle >= first.finish_cycle
-        assert second.queue_cycles > 0
+        # The second (a row hit) starts only when the first finishes.
+        hit = device_cycles(controller, OFF_CHIP_DDR3_1600.row_hit_bus_cycles, 2048)
+        assert controller.row_hit_count == 1
+        assert second == first + hit
+        assert controller.banks[0].busy_until == second
 
     def test_different_banks_do_not_serialise(self):
         controller = make_controller()
         first = controller.access(0, 2048, False, 0)
         # Next page maps to another bank (1 channel -> bank rotation).
         second = controller.access(2048, 2048, False, 0)
-        assert second.queue_cycles == 0
-        assert first.queue_cycles == 0
+        closed = device_cycles(controller, OFF_CHIP_DDR3_1600.row_closed_bus_cycles, 2048)
+        assert first == second == closed
+        assert controller.banks[0].busy_until == controller.banks[1].busy_until == closed
 
 
 class TestTraffic:
@@ -147,8 +169,9 @@ class TestReset:
         controller = make_controller()
         controller.access(0, 64, False, 0)
         controller.reset_stats()
-        result = controller.access(64, 64, False, 10_000)
-        assert result.outcome is AccessOutcome.ROW_HIT
+        controller.access(64, 64, False, 10_000)
+        assert controller.row_hit_count == 1
+        assert controller.banks[0].activate_count == 0
 
 
 class TestInlinedAccessEquivalence:
@@ -162,20 +185,15 @@ class TestInlinedAccessEquivalence:
     """
 
     @staticmethod
-    def _reference_access(mapping, timing, policy, banks, energy_model, state, request):
-        """One access exactly as the pre-optimisation controller computed it."""
+    def _reference_access(controller, banks, state, request):
+        """One access computed step by step from the reference parts."""
         from repro.dram.bank import RowOutcome
-        from repro.dram.controller import AccessOutcome
 
+        mapping, timing, policy = controller.mapping, controller.timing, controller.policy
         address, num_bytes, is_write, now = request
         channel, bank_index, row = mapping.locate(address)
         bank = banks[channel][bank_index]
         bank_access = bank.access(row)
-        outcome = {
-            RowOutcome.HIT: AccessOutcome.ROW_HIT,
-            RowOutcome.CLOSED: AccessOutcome.ROW_CLOSED,
-            RowOutcome.CONFLICT: AccessOutcome.ROW_CONFLICT,
-        }[bank_access.outcome]
         if bank_access.outcome is RowOutcome.HIT:
             row_bus_cycles = timing.row_hit_bus_cycles
         elif bank_access.outcome is RowOutcome.CLOSED:
@@ -186,7 +204,7 @@ class TestInlinedAccessEquivalence:
         burst = timing.burst_cycles(stripe)
         if is_write:
             row_bus_cycles += timing.t_wr if policy is RowBufferPolicy.CLOSE_PAGE else 0
-        device_cycles = timing.to_cpu_cycles(row_bus_cycles + burst, 3000)
+        device_cycles = timing.to_cpu_cycles(row_bus_cycles + burst, controller.cpu_mhz)
         start = bank.reserve(now, device_cycles)
         state["energy"].record_row_operations(bank_access.activates, bank_access.precharges)
         if is_write:
@@ -196,11 +214,14 @@ class TestInlinedAccessEquivalence:
             state["energy"].record_read(num_bytes)
             state["bytes_read"] += num_bytes
         state["busy"] += device_cycles
-        return outcome, start, start + device_cycles, start + device_cycles - now
+        state["row_hits"] += bank_access.outcome is RowOutcome.HIT
+        flat_bank = channel * mapping.banks_per_channel + bank_index
+        return (flat_bank, row), start + device_cycles, start + device_cycles - now
 
+    @pytest.mark.parametrize("cpu_mhz", [3000, 1500])
     @pytest.mark.parametrize("policy", [RowBufferPolicy.OPEN_PAGE, RowBufferPolicy.CLOSE_PAGE])
     @pytest.mark.parametrize("interleave", [64, 2048])
-    def test_randomized_equivalence(self, policy, interleave):
+    def test_randomized_equivalence(self, policy, interleave, cpu_mhz):
         import random
 
         from repro.dram.bank import Bank
@@ -213,12 +234,12 @@ class TestInlinedAccessEquivalence:
         )
         controller = MemoryController(
             timing=STACKED_DDR3_3200, mapping=mapping, policy=policy,
-            energy_model=DramEnergyModel.stacked(),
+            energy_model=DramEnergyModel.stacked(), cpu_mhz=cpu_mhz,
         )
         banks = [[Bank(policy) for _ in range(4)] for _ in range(2)]
         state = {
             "energy": DramEnergyCounters(model=DramEnergyModel.stacked()),
-            "bytes_read": 0, "bytes_written": 0, "busy": 0,
+            "bytes_read": 0, "bytes_written": 0, "busy": 0, "row_hits": 0,
         }
 
         now = 0
@@ -229,15 +250,15 @@ class TestInlinedAccessEquivalence:
                 rng.random() < 0.3,
                 now,
             )
-            result = controller.access(*request)
-            outcome, start, finish, latency = self._reference_access(
-                mapping, STACKED_DDR3_3200, policy, banks,
-                DramEnergyModel.stacked(), state, request,
+            located = controller.locate(request[0])
+            latency = controller.access(*request)
+            ref_located, finish, ref_latency = self._reference_access(
+                controller, banks, state, request
             )
-            assert result.outcome is outcome
-            assert (result.start_cycle, result.finish_cycle, result.latency) == (
-                start, finish, latency
-            )
+            assert located == ref_located
+            assert latency == ref_latency
+            assert controller.banks[located[0]].busy_until == finish
+            assert controller.row_hit_count == state["row_hits"]
             now += rng.randrange(0, 200)
 
         assert controller.bytes_read == state["bytes_read"]
@@ -249,7 +270,7 @@ class TestInlinedAccessEquivalence:
         for channel in range(2):
             for index in range(4):
                 reference_bank = banks[channel][index]
-                live_bank = controller._banks[channel][index]
+                live_bank = controller.banks[channel * 4 + index]
                 assert live_bank.open_row == reference_bank.open_row
                 assert live_bank.busy_until == reference_bank.busy_until
                 assert live_bank.activate_count == reference_bank.activate_count

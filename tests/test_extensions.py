@@ -105,7 +105,7 @@ class TestMultiStripeTransfers:
         )
         # The striped (64B-interleaved) transfer bursts only one stripe on
         # the addressed bank, so its critical path is shorter.
-        assert narrow.access(0, 2048, False, 0).latency < wide.access(0, 2048, False, 0).latency
+        assert narrow.access(0, 2048, False, 0) < wide.access(0, 2048, False, 0)
 
 
 class TestTable4CustomCapacities:

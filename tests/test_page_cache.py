@@ -3,6 +3,8 @@
 import pytest
 
 from repro.caches.page_cache import FrameAllocator, PageBasedCache
+from repro.sim.config import SimulationConfig
+from repro.sim.system import build_system
 from tests.conftest import read, write
 
 
@@ -67,8 +69,28 @@ class TestPageCache:
         # Critical-block-first: the demand block does not wait for the
         # whole 2KB burst.
         result = cache.access(read(0x10000), 0)
-        full_burst = offchip.timing.to_cpu_cycles(offchip.timing.burst_cycles(2048))
+        full_burst = offchip.cpu_cycles(offchip.timing.burst_cycles(2048))
         assert result.latency < cache.tag_latency + full_burst + 200
+
+    def test_critical_latency_uses_the_system_clock(self):
+        # At a 1.5GHz core the page burst's tail must be converted at
+        # 1.5GHz too; converting it at 3GHz made the critical latency
+        # of an unqueued page miss negative (282 - 465 cycles).
+        config = SimulationConfig.scaled(
+            "web_search", "page", 256, system_overrides={"cpu_mhz": 1500}
+        )
+        cache = build_system(config).cache
+        offchip = cache.offchip
+        timing = offchip.timing
+        assert offchip.cpu_mhz == 1500
+        result = cache.access(read(0x10000), 0)
+        stripe = min(cache.page_size, offchip.mapping.interleave_bytes)
+        burst = timing.burst_cycles(stripe)
+        fetch = timing.to_cpu_cycles(timing.row_closed_bus_cycles + burst, 1500)
+        tail = timing.to_cpu_cycles(burst - timing.burst_cycles(64), 1500)
+        assert (fetch, tail) == (282, 233)
+        assert result.latency == cache.tag_latency + fetch - tail
+        assert fetch - tail >= 0
 
     def test_resident_pages(self, cache):
         cache.access(read(0), 0)

@@ -72,4 +72,4 @@ class TestIdeal:
         result = cache.access(read(0), 0)
         # No tag overhead: pure stacked DRAM access.
         closed = stacked.timing.row_closed_bus_cycles + stacked.timing.burst_cycles(64)
-        assert result.latency == stacked.timing.to_cpu_cycles(closed)
+        assert result.latency == stacked.cpu_cycles(closed)

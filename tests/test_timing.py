@@ -83,18 +83,24 @@ class TestLatencyClasses:
 class TestCpuConversion:
     def test_offchip_ratio(self):
         # 800MHz bus at 3GHz CPU: x3.75, rounded up.
-        assert OFF_CHIP_DDR3_1600.to_cpu_cycles(4) == 15
+        assert OFF_CHIP_DDR3_1600.to_cpu_cycles(4, 3000) == 15
 
     def test_stacked_ratio(self):
         # 1600MHz bus at 3GHz CPU: x1.875.
-        assert STACKED_DDR3_3200.to_cpu_cycles(8) == 15
+        assert STACKED_DDR3_3200.to_cpu_cycles(8, 3000) == 15
 
     def test_zero_cycles(self):
-        assert OFF_CHIP_DDR3_1600.to_cpu_cycles(0) == 0
+        assert OFF_CHIP_DDR3_1600.to_cpu_cycles(0, 3000) == 0
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            OFF_CHIP_DDR3_1600.to_cpu_cycles(-1)
+            OFF_CHIP_DDR3_1600.to_cpu_cycles(-1, 3000)
+
+    def test_clock_is_explicit(self):
+        # 800MHz bus at 1.5GHz CPU: x1.875, rounded up; no default clock.
+        assert OFF_CHIP_DDR3_1600.to_cpu_cycles(4, 1500) == 8
+        with pytest.raises(TypeError):
+            OFF_CHIP_DDR3_1600.to_cpu_cycles(4)
 
 
 class TestHalvedLatency:

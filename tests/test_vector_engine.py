@@ -29,9 +29,12 @@ from repro.sim.simulator import Simulator
 import repro.vector.engine as vector_engine
 
 
-def small_config(profile="web_search", design="footprint", seed=0, requests=12_000):
+def small_config(
+    profile="web_search", design="footprint", seed=0, requests=12_000, cpu_mhz=3000
+):
     return SimulationConfig.scaled(
-        profile, design, 256, scale=256, num_requests=requests, seed=seed
+        profile, design, 256, scale=256, num_requests=requests, seed=seed,
+        system_overrides={"cpu_mhz": cpu_mhz},
     )
 
 
@@ -56,8 +59,7 @@ def state_snapshot(sim):
             "banks": [
                 (bank._open_row, bank.busy_until, bank.activate_count,
                  bank.precharge_count)
-                for channel in controller._banks
-                for bank in channel
+                for bank in controller.banks
             ],
         }
     sram = None
@@ -138,6 +140,12 @@ class TestEquivalenceEveryDesign:
     @pytest.mark.parametrize("design", ("page", "baseline"))
     def test_randomized_seeds_other_kernels(self, design):
         assert_parity(small_config(design=design, seed=3))
+
+    @pytest.mark.parametrize("design", ("baseline", "page", "footprint"))
+    def test_non_default_clock_parity(self, design):
+        # Kernels and the scalar loop convert bus cycles at the same
+        # (system) clock, not at a hidden default.
+        assert_parity(small_config(design=design, cpu_mhz=1500))
 
 
 class TestSegmentEdges:
