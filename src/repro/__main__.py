@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
         "land in the local --store byte-identically to a local run",
     )
     sweep.add_argument(
-        "--dist-shards", type=int, default=0, metavar="N",
+        "--dist-shards", type=int, default=None, metavar="N",
         help="with --coordinator: how many leases to partition the run "
         "into (default: coordinator's choice)",
     )
@@ -520,6 +520,7 @@ def _run_single(args) -> int:
         baseline_config = SimulationConfig.scaled(
             args.workload, "baseline", args.capacity,
             scale=args.scale, num_requests=args.requests, seed=args.seed,
+            page_size=args.page_size,
         )
         baseline = Simulator(baseline_config).run()
         rows.append(("improvement over baseline", percent(result.improvement_over(baseline))))
@@ -589,10 +590,20 @@ def _run_sweep(args) -> int:
 
             backend = DistributedBackend(
                 args.coordinator,
-                shards=args.dist_shards,
+                shards=args.dist_shards or 0,
                 lease_seconds=args.lease_seconds,
             )
         else:
+            fleet_only = [
+                flag
+                for flag, value in (
+                    ("--dist-shards", args.dist_shards),
+                    ("--lease-seconds", args.lease_seconds),
+                )
+                if value is not None
+            ]
+            if fleet_only:
+                raise ValueError(f"{', '.join(fleet_only)} only applies with --coordinator")
             backend = make_backend(args.backend, jobs=args.jobs, shard=args.shard)
     except (TypeError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)

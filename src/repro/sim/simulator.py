@@ -10,16 +10,13 @@ design for an apples-to-apples comparison.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, Iterable, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
-from repro.caches.base import DramCache
 from repro.core.footprint_cache import FootprintCache
 from repro.mem.request import BLOCK_SIZE, MemoryRequest
 from repro.perf.timing_model import PerformanceModel, PerformanceResult
 from repro.sim.config import SimulationConfig
 from repro.sim.system import System, build_system
-from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.trace import max_cached_requests, shared_trace_cache
 
 
 @dataclass(frozen=True)
@@ -107,12 +104,12 @@ class SimulationResult:
         return cls(**payload)
 
 
-#: ``Simulator`` replay paths.  ``"vector"`` (the default) lets the code
-#: pick: a :mod:`repro.vector` batch kernel when one matches the design
-#: and configuration, the scalar loop otherwise.  ``"interp"`` forces the
-#: scalar reference loop; it is the hook the equivalence tests compare
-#: the kernels against, and no CLI flag, environment variable or config
-#: field reaches it.
+#: Segment consumers ``Simulator`` can ask :func:`~repro.vector.engine.replay` for.
+#: ``"vector"`` (the default) lets the code pick: a :mod:`repro.vector`
+#: batch kernel when one matches the design and configuration, the scalar
+#: loop otherwise.  ``"interp"`` forces the scalar reference loop; it is
+#: the hook the equivalence tests compare the kernels against, and no CLI
+#: flag, environment variable or config field reaches it.
 ENGINES = ("interp", "vector")
 
 
@@ -142,116 +139,20 @@ class Simulator:
             exposed_latency_fraction=config.system.exposed_latency_fraction,
         )
 
-    def _stream(self, count: int) -> Iterable[MemoryRequest]:
-        """The next ``count`` workload requests, via the shared trace cache.
-
-        The cache serves segment ``[position, position + count)`` of the
-        deterministic request stream — value-identical to what the
-        system's own generator would produce — so one materialised trace
-        is shared by every design (and every simulator) replaying the
-        same (profile, seed, page size).  Falls back to the live
-        generator for externally built systems or non-synthetic
-        workloads.
-        """
-        workload = self.system.workload
-        cache = shared_trace_cache()
-        if (
-            self._private_system
-            and isinstance(workload, SyntheticWorkload)
-            # A disabled cache (REPRO_TRACE_CACHE=0) means *streaming*:
-            # materialising per run would cost more than caching.
-            and cache.max_entries > 0
-            # Paper-sized traces stay on the streaming generator
-            # (materialising them would pin hundreds of MB); the choice
-            # is sticky per simulator — once a run was served from the
-            # cache, continuations must come from the same stream.
-            and (self._stream_position > 0 or count <= max_cached_requests())
-        ):
-            start = self._stream_position
-            self._stream_position = start + count
-            return cache.requests(
-                workload.profile,
-                self.config.seed,
-                workload.page_size,
-                count,
-                start=start,
-                block_size=workload.block_size,
-            )
-        return workload.requests(count)
-
     def run(self, trace: Optional[Sequence[MemoryRequest]] = None) -> SimulationResult:
         """Replay the workload (or an explicit ``trace``) and summarise.
 
         With an explicit trace, ``config.num_requests`` still bounds how
         many requests are consumed and the warm-up split applies the same
         way.  Replay goes through :func:`repro.vector.engine.replay`,
-        which runs the design's batch kernel and falls back to the scalar
-        loop for designs or configurations without one; the result is
-        byte-identical either way.
+        which feeds the stream in segments to the design's batch kernel,
+        or to the scalar loop for designs or configurations without one
+        (and for ``engine="interp"``); the result is byte-identical
+        either way.
         """
-        if self.engine == "interp":
-            return self._run_interp(trace)
         from repro.vector.engine import replay
 
         return replay(self, trace)
-
-    def _run_interp(self, trace: Optional[Sequence[MemoryRequest]] = None) -> SimulationResult:
-        """The scalar reference loop (also the no-kernel fallback)."""
-        # Requests enter at the system's frontend: the DRAM cache itself,
-        # or the extra-L2 slice in front of it (Section 6.3).  Statistics
-        # are summarised at the DRAM cache level either way.
-        perf = self.perf
-        warmup = self.config.warmup_requests
-        limit = self.config.num_requests
-
-        # Reset explicitly before replaying anything: the measured window
-        # then always starts from a known state, whether warm-up completes
-        # (reset again below), the trace ends early (degenerate short run:
-        # everything from here on is measured), or run() is called again
-        # on a reused simulator.
-        self.system.reset_stats()
-        perf.start_measurement()
-        measuring = warmup == 0
-
-        requests: Iterable[MemoryRequest]
-        if trace is None:
-            requests = self._stream(limit)
-        else:
-            requests = iter(trace)
-
-        # The replay loop is the hottest code in the repo: everything it
-        # touches per request is bound to a local, and the per-core time
-        # accounting is inlined (same arithmetic, in the same order, as
-        # PerformanceModel.core_now/advance — see test_perf_model's
-        # equivalence test).  Instruction counts accumulate locally and
-        # flush to the model at the measurement boundary and at the end.
-        access = self.system.frontend.access
-        core_time = perf._core_time
-        num_cores = perf.num_cores
-        base_cpi = perf.base_cpi
-        exposed = perf.exposed_latency_fraction
-        processed = 0
-        instructions = 0
-        for request in requests:
-            if processed == warmup and not measuring:
-                perf._instructions += instructions
-                instructions = 0
-                self.system.reset_stats()
-                perf.start_measurement()
-                measuring = True
-            core = request.core_id % num_cores
-            result = access(request, int(core_time[core]))
-            core_time[core] += (
-                request.instruction_count * base_cpi + result.latency * exposed
-            )
-            instructions += request.instruction_count
-            processed += 1
-            if processed >= limit:
-                break
-        perf._instructions += instructions
-
-        measured = processed - warmup if measuring else processed
-        return self._summarise(measured)
 
     def _summarise(self, measured: int) -> SimulationResult:
         cache = self.system.cache

@@ -1,10 +1,11 @@
-"""Zero-copy NumPy views over :class:`repro.workloads.trace.Trace` columns.
+"""Trace segments: zero-copy NumPy views over a trace's columns.
 
-A :class:`Trace` already stores the five request fields as parallel
-``array`` columns; ``np.frombuffer`` exposes a segment of each column as
-a NumPy view without copying.  Views pin the underlying buffers (an
-``array`` cannot grow while exported), so the engine creates them one
-segment at a time and drops them before the trace can be extended again.
+A :class:`repro.workloads.trace.Trace` already stores the five request
+fields as parallel ``array`` columns; ``np.frombuffer`` exposes a
+segment of each column as a NumPy view without copying.  Views pin the
+underlying buffers (an ``array`` cannot grow while exported), so a
+segment makes a view only when a column is read, and a consumer's views
+die with its locals: nothing pins the trace between segments.
 """
 
 from __future__ import annotations
@@ -16,37 +17,57 @@ _DTYPES = {"q": np.int64, "b": np.int8, "h": np.int16}
 
 
 class TraceColumns:
-    """One trace segment as five parallel NumPy arrays (read-only views)."""
+    """Segment ``[start, stop)`` of ``trace``.
 
-    __slots__ = ("addresses", "pcs", "writes", "core_ids", "instruction_counts")
+    Each column attribute is a fresh read-only view; :meth:`requests`
+    gives the trace's memoised request objects for the same range.
+    """
 
-    def __init__(self, addresses, pcs, writes, core_ids, instruction_counts) -> None:
-        self.addresses = addresses
-        self.pcs = pcs
-        self.writes = writes
-        self.core_ids = core_ids
-        self.instruction_counts = instruction_counts
+    __slots__ = ("trace", "start", "stop")
+
+    def __init__(self, trace, start: int, stop: int) -> None:
+        self.trace = trace
+        self.start = start
+        self.stop = stop
 
     def __len__(self) -> int:
-        return len(self.addresses)
+        return self.stop - self.start
 
+    def _view(self, column):
+        dtype = _DTYPES[column.typecode]
+        count = self.stop - self.start
+        if count == 0:
+            # No buffer export for empty segments (nothing to pin).
+            return np.empty(0, dtype=dtype)
+        return np.frombuffer(
+            column, dtype=dtype, count=count, offset=self.start * column.itemsize
+        )
 
-def _view(column, start: int, stop: int):
-    dtype = _DTYPES[column.typecode]
-    count = stop - start
-    if count <= 0:
-        # No buffer export for empty segments (nothing to pin).
-        return np.empty(0, dtype=dtype)
-    return np.frombuffer(column, dtype=dtype, count=count, offset=start * column.itemsize)
+    @property
+    def addresses(self):
+        return self._view(self.trace.addresses)
+
+    @property
+    def pcs(self):
+        return self._view(self.trace.pcs)
+
+    @property
+    def writes(self):
+        return self._view(self.trace.writes)
+
+    @property
+    def core_ids(self):
+        return self._view(self.trace.core_ids)
+
+    @property
+    def instruction_counts(self):
+        return self._view(self.trace.instruction_counts)
+
+    def requests(self):
+        """The segment's request objects, memoised by its trace."""
+        return self.trace.requests(self.start, self.stop)
 
 
 def trace_segment(trace, start: int, stop: int) -> TraceColumns:
-    """Columns of ``trace[start:stop)`` as zero-copy views."""
-    stop = min(stop, len(trace.addresses))
-    return TraceColumns(
-        _view(trace.addresses, start, stop),
-        _view(trace.pcs, start, stop),
-        _view(trace.writes, start, stop),
-        _view(trace.core_ids, start, stop),
-        _view(trace.instruction_counts, start, stop),
-    )
+    """``trace[start:stop)``, clipped to the trace's length."""
+    return TraceColumns(trace, start, max(start, min(stop, len(trace.addresses))))

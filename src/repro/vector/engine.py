@@ -1,25 +1,26 @@
-"""Segmented replay driver: the path every ``Simulator.run()`` takes.
+"""Segmented replay: the one path every ``Simulator.run()`` takes.
 
-:func:`replay` mirrors :meth:`Simulator._run_interp` exactly — same
-request stream, same warm-up boundary semantics, same summary — but
-feeds the trace to a per-design batch kernel one segment at a time
-instead of one request object at a time.  Segments are columnar NumPy
-views (:mod:`repro.vector.columns`); request *objects* are only built
-for the scalar fallback inside the kernels.
+:func:`replay` owns what a run shares across designs (Section 5.4): the
+request stream, the warm-up phase ending in a stats reset *before* the
+first measured request, the request budget and the summary.  It cuts
+the stream into segments (:mod:`repro.vector.columns`: a trace and a
+range, read as zero-copy NumPy column views or as request objects) and
+hands each to a consumer with one method,
+``run_segment(cols) -> instructions``: the design's batch kernel
+(:mod:`repro.vector.kernels`) when one matches, otherwise
+:class:`ScalarReplay`, the scalar reference.  ``Simulator(config,
+engine="interp")`` picks the scalar consumer for every design; the
+equivalence tests compare the kernels against it.
 
-Stream parity notes:
-
-* The shared-trace-cache gate replicates ``Simulator._stream``'s
-  condition bit for bit, and ``_stream_position`` advances by the full
-  request budget up front, exactly as the reference's single ``_stream``
-  call does.
-* Generator workloads are drained through one ``islice`` per segment,
-  which leaves the generator suspended at its last yield — the same
-  state the reference's ``break`` leaves it in — so a continuation run
-  on the same system resumes identically.
-* Segment views pin the columnar buffers of a cached trace, so each
-  segment's views are dropped before the next one is requested (an
-  ``array`` cannot grow while a view is exported).
+* Cached segments carry the trace's memoised request objects, so the
+  scalar consumer never rebuilds them.
+* Generator workloads and explicit request lists are drained through one
+  ``islice`` per segment, which leaves a generator suspended at its last
+  yield, so a continuation run on the same system resumes identically.
+* Column views pin a cached trace's buffers (an ``array`` cannot grow
+  while a view is exported); segments hold none themselves, and a
+  consumer's views die with its locals, so the cache can extend the
+  trace for the next segment.
 """
 
 from __future__ import annotations
@@ -30,12 +31,43 @@ from repro.obs.metrics import registry
 from repro.vector.columns import trace_segment
 from repro.vector.kernels import build_kernel
 from repro.workloads.synthetic import SyntheticWorkload
-from repro.workloads.trace import Trace, max_cached_requests, shared_trace_cache
+from repro.workloads.trace import MAX_CACHED_REQUESTS, Trace, shared_trace_cache
 
 # Requests per segment.  Large enough to amortise the NumPy precompute,
 # small enough that the per-segment lists stay cache-friendly; tests
 # shrink it to exercise segment-boundary behaviour.
 SEGMENT_REQUESTS = 1 << 16
+
+
+class ScalarReplay:
+    """The scalar reference consumer (also the no-kernel fallback).
+
+    Requests enter at the system's frontend: the DRAM cache itself, or
+    the extra-L2 slice in front of it (Section 6.3).  The per-core time
+    accounting is inlined: same arithmetic, in the same order, as
+    ``PerformanceModel.core_now``/``advance`` (see test_perf_model).
+    """
+
+    def __init__(self, sim) -> None:
+        self.access = sim.system.frontend.access
+        self.perf = sim.perf
+
+    def run_segment(self, cols) -> int:
+        access = self.access
+        perf = self.perf
+        core_time = perf._core_time
+        num_cores = perf.num_cores
+        base_cpi = perf.base_cpi
+        exposed = perf.exposed_latency_fraction
+        instructions = 0
+        for request in cols.requests():
+            core = request.core_id % num_cores
+            result = access(request, int(core_time[core]))
+            core_time[core] += (
+                request.instruction_count * base_cpi + result.latency * exposed
+            )
+            instructions += request.instruction_count
+        return instructions
 
 
 def _iterator_source(source):
@@ -48,82 +80,78 @@ def _iterator_source(source):
     return take
 
 
+def _trace_source(trace_for, cursor, end):
+    """Segments of stream ``[cursor, end)``, read from ``trace_for(start, stop)``."""
+
+    def take(n):
+        nonlocal cursor
+        stop = min(cursor + n, end)
+        cols = trace_segment(trace_for(cursor, stop), cursor, stop)
+        cursor += len(cols)
+        return cols
+
+    return take
+
+
 def _segment_source(sim, trace):
     """A ``take(n) -> TraceColumns`` closure over the run's request stream."""
     limit = sim.config.num_requests
+    if isinstance(trace, Trace):
+        return _trace_source(lambda start, stop: trace, 0, min(limit, len(trace)))
     if trace is not None:
-        if isinstance(trace, Trace):
-            end = min(limit, len(trace))
-            cursor = 0
-
-            def take(n):
-                nonlocal cursor
-                stop = min(cursor + n, end)
-                cols = trace_segment(trace, cursor, stop)
-                cursor = stop
-                return cols
-
-            return take
         return _iterator_source(iter(trace))
 
     workload = sim.system.workload
     cache = shared_trace_cache()
-    # Byte-for-byte the gate in Simulator._stream: private system,
-    # synthetic workload, cache enabled, and either a continuation of a
-    # cached stream or a run short enough to materialise.
+    # The stream gate.  An externally built system may have consumed its
+    # generator already, so only a private one is served from the cache.
+    # A disabled cache (REPRO_TRACE_CACHE=0) means *streaming*, and
+    # paper-sized runs stay on the generator (materialising them would
+    # pin hundreds of MB).  The choice is sticky per simulator: once a
+    # run was served from the cache, continuations come from it too.
     if (
         sim._private_system
         and isinstance(workload, SyntheticWorkload)
         and cache.max_entries > 0
-        and (sim._stream_position > 0 or limit <= max_cached_requests())
+        and (sim._stream_position > 0 or limit <= MAX_CACHED_REQUESTS)
     ):
-        start = sim._stream_position
-        sim._stream_position = start + limit
-        end = start + limit
-        cursor = start
-        profile = workload.profile
-        seed = sim.config.seed
-        page_size = workload.page_size
-        block_size = workload.block_size
+        first = sim._stream_position
+        sim._stream_position = first + limit
 
-        def take(n):
-            nonlocal cursor
-            stop = min(cursor + n, end)
-            materialised = cache.columnar(
-                profile,
-                seed,
-                page_size,
-                stop - cursor,
-                start=cursor,
-                block_size=block_size,
+        def cached(start, stop):
+            return cache.columnar(
+                workload.profile,
+                sim.config.seed,
+                workload.page_size,
+                stop - start,
+                start=start,
+                block_size=workload.block_size,
             )
-            cols = trace_segment(materialised, cursor, stop)
-            cursor += len(cols)
-            return cols
 
-        return take
+        return _trace_source(cached, first, first + limit)
     return _iterator_source(workload.requests(limit))
 
 
 def replay(sim, trace=None):
-    """Run ``sim`` to completion with batch kernels; scalar fallback if none.
+    """Run ``sim`` to completion and summarise its measured window.
 
-    Structured exactly like ``Simulator._run_interp``: reset, optional
-    warm-up phase ending in a stats reset *before* the first measured
-    request, replay until the request budget or the end of the trace,
-    then summarise the measured window.
+    Reset, optional warm-up phase ending in a stats reset *before* the
+    first measured request, replay until the request budget or the end
+    of the trace, then summarise.  With an explicit ``trace``,
+    ``config.num_requests`` still bounds how many requests are consumed.
     """
-    kernel = build_kernel(sim)
-    if kernel is None:
-        # No kernel for this design/configuration: the scalar loop is
-        # the reference, so the result is identical by construction.
-        # One counter touch per point makes the fallback visible.
-        registry().counter(
-            "repro_engine_fallback_total",
-            "points replayed by the scalar loop for want of a batch kernel",
-            design=sim.config.cache.design,
-        ).inc()
-        return sim._run_interp(trace)
+    if sim.engine == "interp":
+        consumer = ScalarReplay(sim)
+    else:
+        consumer = build_kernel(sim)
+        if consumer is None:
+            # One counter touch per point makes the fallback visible.
+            registry().counter(
+                "repro_engine_fallback_total",
+                "points replayed by the scalar loop for want of a batch kernel",
+                design=sim.config.cache.design,
+            ).inc()
+            consumer = ScalarReplay(sim)
 
     take = _segment_source(sim, trace)
     perf = sim.perf
@@ -131,6 +159,11 @@ def replay(sim, trace=None):
     warmup = sim.config.warmup_requests
     limit = sim.config.num_requests
 
+    # Reset explicitly before replaying anything: the measured window
+    # then always starts from a known state, whether warm-up completes
+    # (reset again below), the trace ends early (degenerate short run:
+    # everything from here on is measured), or run() is called again on
+    # a reused simulator.
     system.reset_stats()
     perf.start_measurement()
     measuring = warmup == 0
@@ -141,7 +174,8 @@ def replay(sim, trace=None):
         # The warm-up boundary must fall on a segment edge: cap segments
         # at the boundary, and reset stats only once a request actually
         # exists there (a trace ending exactly at the boundary stays
-        # unmeasured, like the reference loop).
+        # unmeasured).  Instruction counts accumulate locally and flush
+        # to the model at the boundary and at the end.
         at_boundary = not measuring and processed == warmup
         boundary = limit if (measuring or at_boundary) else min(warmup, limit)
         n = min(boundary - processed, SEGMENT_REQUESTS)
@@ -155,21 +189,19 @@ def replay(sim, trace=None):
             system.reset_stats()
             perf.start_measurement()
             measuring = True
-        instructions += kernel.run_segment(cols)
+        instructions += consumer.run_segment(cols)
         processed += got
-        # Drop the segment's buffer views before the next take(): a
-        # cached trace cannot be extended while views are exported.
-        cols = None
         if got < n:
             break
     perf._instructions += instructions
 
     measured = processed - warmup if measuring else processed
-    # Point-boundary accounting only: one registry touch per replay,
-    # never per request or per segment.
-    registry().counter(
-        "repro_engine_requests_total",
-        "requests replayed, by execution engine",
-        engine="vector",
-    ).inc(processed)
+    if not isinstance(consumer, ScalarReplay):
+        # Point-boundary accounting only: one registry touch per replay,
+        # never per request or per segment.
+        registry().counter(
+            "repro_engine_requests_total",
+            "requests replayed, by execution engine",
+            engine="vector",
+        ).inc(processed)
     return sim._summarise(measured)

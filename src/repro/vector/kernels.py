@@ -51,7 +51,7 @@ Mirroring rules that make the parity hold to the last bit:
 
 ``build_kernel`` returns None when any assumption fails (custom
 subclasses, close-page controllers, non-LRU tags, an L2 frontend); the
-engine then routes the whole run to the scalar loop.
+segmented replay then feeds the whole run to the scalar consumer.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ import threading
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.mem.request import AccessType, MemoryRequest, page_address
@@ -93,9 +94,14 @@ class Trace(Sequence):
     def from_requests(
         cls, requests: Iterable[MemoryRequest], limit: Optional[int] = None
     ) -> "Trace":
-        """Materialise ``requests`` (up to ``limit``) into columns."""
+        """Materialise ``requests`` (up to ``limit``) into columns.
+
+        The given objects become the trace's memoised request objects, so
+        :meth:`requests` serves them instead of rebuilding them.
+        """
         trace = cls()
-        trace._extend(requests if limit is None else _bounded(requests, limit))
+        trace._requests = list(islice(requests, limit))
+        trace._extend(trace._requests)
         return trace
 
     def _extend(self, requests: Iterable[MemoryRequest]) -> None:
@@ -135,17 +141,14 @@ class Trace(Sequence):
         writes = self.writes
         core_ids = self.core_ids
         icounts = self.instruction_counts
-        append = self._requests.append
-        for i in range(built, stop):
-            append(
-                make(
-                    addresses[i],
-                    pcs[i],
-                    write if writes[i] else read,
-                    core_ids[i],
-                    icounts[i],
-                )
-            )
+        built_now = [
+            make(addresses[i], pcs[i], write if writes[i] else read, core_ids[i], icounts[i])
+            for i in range(built, stop)
+        ]
+        # One slice assignment (atomic under the GIL): a concurrent
+        # caller that materialised the same range meanwhile is
+        # overwritten with equal objects, never duplicated.
+        self._requests[built:stop] = built_now
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -184,15 +187,6 @@ class Trace(Sequence):
         return f"Trace(n={len(self)}, columnar={self.nbytes()} bytes)"
 
 
-def _bounded(requests: Iterable[MemoryRequest], limit: int):
-    if limit < 0:
-        raise ValueError("limit must be non-negative")
-    for index, request in enumerate(requests):
-        if index >= limit:
-            break
-        yield request
-
-
 class _TraceEntry:
     """One cached generator identity: the live workload plus its trace."""
 
@@ -215,6 +209,31 @@ class _TraceEntry:
 
 
 TraceKey = Tuple[WorkloadProfile, int, int, int]
+
+#: Streams longer than this stay on the generator path.  Materialising a
+#: trace costs memory proportional to its length — dominated by the
+#: memoised request *objects* (~250B each, an order of magnitude over the
+#: ~33B/request columnar arrays), so a 1M-request trace pins roughly
+#: 280MB.  Figure grids top out around 500k requests; paper-sized runs
+#: (``SimulationConfig.full_scale``, millions of requests) stream.
+MAX_CACHED_REQUESTS = 1_000_000
+
+#: Total-request budget across all cache entries: caps a process's
+#: materialised-trace memory at roughly ``budget x 280B`` (~560MB)
+#: regardless of entry count or continuation growth; LRU entries are
+#: dropped to stay under it.
+MAX_TOTAL_CACHED_REQUESTS = 2_000_000
+
+
+def _default_max_entries() -> int:
+    """Cache bound: ``$REPRO_TRACE_CACHE`` (entries; 0 disables) or 4."""
+    override = os.environ.get("REPRO_TRACE_CACHE")
+    if override:
+        try:
+            return max(0, int(override))
+        except ValueError:
+            pass
+    return 4
 
 
 class TraceCache:
@@ -241,14 +260,12 @@ class TraceCache:
     def __init__(
         self,
         max_entries: Optional[int] = None,
-        max_total_requests: Optional[int] = None,
+        max_total_requests: int = MAX_TOTAL_CACHED_REQUESTS,
     ) -> None:
         if max_entries is None:
             max_entries = _default_max_entries()
         if max_entries < 0:
             raise ValueError("max_entries must be non-negative")
-        if max_total_requests is None:
-            max_total_requests = _default_max_total_requests()
         if max_total_requests < 0:
             raise ValueError("max_total_requests must be non-negative")
         self.max_entries = max_entries
@@ -330,36 +347,12 @@ class TraceCache:
     ) -> List[MemoryRequest]:
         """Requests ``[start, start + num_requests)`` of the stream.
 
-        The returned list shares request objects with every other caller
-        of the same trace; requests are frozen, so sharing is safe.  With
-        ``max_entries == 0`` the cache is disabled and requests are
-        generated fresh (still through the columnar path, so the call
-        remains exact).
+        The request objects of :meth:`columnar`'s trace: built once per
+        trace and shared with every other caller of it (requests are
+        frozen, so sharing is safe).
         """
-        if num_requests < 0 or start < 0:
-            raise ValueError("start and num_requests must be non-negative")
-        with self._lock:
-            if self.max_entries == 0:
-                self.misses += 1
-                workload = SyntheticWorkload(
-                    profile, seed=seed, page_size=page_size, block_size=block_size
-                )
-                trace = Trace.from_requests(workload.requests(start + num_requests))
-                return trace.requests(start, start + num_requests)
-            entry = self._entry(profile, seed, page_size, block_size)
-            entry.extend_to(start + num_requests)
-            served = entry.trace.requests(start, start + num_requests)
-            # Memory budget: materialised requests cost far more than
-            # their columnar bytes (each is a dict-bearing frozen
-            # dataclass, roughly 250B), so the cache enforces a *total*
-            # request budget, LRU-first.  The just-served entry may be
-            # evicted too (a continuation grown past the whole budget);
-            # the caller keeps its served list, and any future segment
-            # regenerates bit-identically.
-            while self._entries and self.cached_requests > self.max_total_requests:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-            return served
+        trace = self.columnar(profile, seed, page_size, num_requests, start, block_size)
+        return trace.requests(start, start + num_requests)
 
     def columnar(
         self,
@@ -372,13 +365,14 @@ class TraceCache:
     ) -> Trace:
         """The columnar trace backing stream ``[0, start + num_requests)``.
 
-        Same keying, hit/miss accounting, extension and eviction budget as
-        :meth:`requests`, but without materialising request *objects*: the
-        vector engine reads the columns directly (zero-copy NumPy views),
-        so serving it must not pay the ~250B/request object cost.  The
-        returned :class:`Trace` is the live cache entry's — callers must
-        treat it as read-only and drop any buffer views before the entry
-        is extended again (NumPy views pin ``array`` buffers).
+        Request *objects* are not materialised here: the batch kernels
+        read the columns directly (zero-copy NumPy views), so serving
+        them must not pay the ~250B/request object cost.  The returned
+        :class:`Trace` is the live cache entry's — callers must treat it
+        as read-only and drop any buffer views before the entry is
+        extended again (NumPy views pin ``array`` buffers).  With
+        ``max_entries == 0`` the cache is disabled and the trace is
+        generated fresh (still exact).
         """
         if num_requests < 0 or start < 0:
             raise ValueError("start and num_requests must be non-negative")
@@ -401,64 +395,10 @@ class TraceCache:
                 self.evictions += 1
             return trace
 
-    def trace(
-        self,
-        profile: WorkloadProfile,
-        seed: int,
-        page_size: int,
-        num_requests: int,
-        block_size: int = 64,
-    ) -> Trace:
-        """A columnar snapshot of the first ``num_requests`` requests."""
-        return Trace.from_requests(
-            self.requests(profile, seed, page_size, num_requests, block_size=block_size)
-        )
-
     def clear(self) -> None:
         """Drop every entry (testing / memory pressure)."""
         with self._lock:
             self._entries.clear()
-
-
-def _env_int(name: str, default: int) -> int:
-    """A non-negative int from the environment, or ``default``."""
-    override = os.environ.get(name)
-    if override:
-        try:
-            return max(0, int(override))
-        except ValueError:
-            pass
-    return default
-
-
-def _default_max_entries() -> int:
-    """Cache bound: ``$REPRO_TRACE_CACHE`` (entries; 0 disables) or 4."""
-    return _env_int("REPRO_TRACE_CACHE", 4)
-
-
-def max_cached_requests() -> int:
-    """Streams longer than this stay on the generator path.
-
-    Materialising a trace costs memory proportional to its length — and
-    dominated by the memoised request *objects* (~250B each, an order
-    of magnitude over the ~33B/request columnar arrays), so a 1M-request
-    trace pins roughly 280MB.  Figure grids top out around 500k
-    requests; paper-sized runs (``SimulationConfig.full_scale``,
-    millions of requests) keep the pre-existing streaming generator
-    path.  Override with ``$REPRO_TRACE_CACHE_MAX_REQUESTS``.
-    """
-    return _env_int("REPRO_TRACE_CACHE_MAX_REQUESTS", 1_000_000)
-
-
-def _default_max_total_requests() -> int:
-    """Total-request budget across all cache entries.
-
-    Caps a process's materialised-trace memory at roughly
-    ``budget x 280B`` (~560MB at the 2M default) regardless of entry
-    count or continuation growth; LRU entries are dropped to stay under
-    it.  Override with ``$REPRO_TRACE_CACHE_MAX_TOTAL_REQUESTS``.
-    """
-    return _env_int("REPRO_TRACE_CACHE_MAX_TOTAL_REQUESTS", 2_000_000)
 
 
 _SHARED = TraceCache()

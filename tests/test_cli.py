@@ -162,6 +162,20 @@ class TestBackendFlags:
         assert main(["sweep", *grid, "--store", str(tmp_path / "merged")]) == 0
         assert "all points served from cache" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flag", (["--dist-shards", "4"], ["--lease-seconds", "30"])
+    )
+    def test_fleet_flags_need_a_coordinator(self, flag, tmp_path, capsys):
+        # Without --coordinator these flags would be silently ignored.
+        code = main(
+            ["sweep", "--capacities", "64", "--requests", "2000",
+             "--store", str(tmp_path)] + flag
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flag[0] in err
+        assert not any(tmp_path.iterdir())
+
 
 class TestStoreMergeCLI:
     def test_merge_requires_sources_and_into(self, capsys):
@@ -276,6 +290,22 @@ class TestMain:
         assert code == 0
         out = capsys.readouterr().out
         assert "improvement over baseline" in out
+
+    def test_baseline_comparison_replays_the_same_page_size(self, capsys):
+        # The synthetic trace depends on the page size, so the baseline
+        # must be built at the design's page size: a baseline design then
+        # improves on its own baseline by exactly nothing.
+        code = main(
+            ["--workload", "web_search", "--design", "baseline",
+             "--capacity", "64", "--requests", "6000",
+             "--page-size", "4096", "--baseline"]
+        )
+        assert code == 0
+        row = next(
+            line for line in capsys.readouterr().out.splitlines()
+            if "improvement over baseline" in line
+        )
+        assert row.split()[-1] == "0.0%"
 
     def test_no_singleton_flag(self, capsys):
         code = main(

@@ -199,9 +199,10 @@ class TestWorkerProcessDeterminism:
 
 
 class TestSimulatorFastPath:
-    """Trace-path equivalences, on the default replay path and on the
-    scalar reference loop (``engine="interp"``), whose stream gates are
-    separate code."""
+    """Trace-path equivalences, with a batch kernel and with the scalar
+    reference consumer (``engine="interp"``): one stream gate serves both,
+    but the kernels read the cached columns and the scalar loop reads the
+    cached request objects."""
 
     ENGINES = ("vector", "interp")
 

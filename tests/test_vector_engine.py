@@ -30,11 +30,12 @@ import repro.vector.engine as vector_engine
 
 
 def small_config(
-    profile="web_search", design="footprint", seed=0, requests=12_000, cpu_mhz=3000
+    profile="web_search", design="footprint", seed=0, requests=12_000, cpu_mhz=3000,
+    **system,
 ):
     return SimulationConfig.scaled(
         profile, design, 256, scale=256, num_requests=requests, seed=seed,
-        system_overrides={"cpu_mhz": cpu_mhz},
+        system_overrides={"cpu_mhz": cpu_mhz, **system},
     )
 
 
@@ -148,6 +149,16 @@ class TestEquivalenceEveryDesign:
         assert_parity(small_config(design=design, cpu_mhz=1500))
 
 
+#: Segmented-replay configurations: a kernel design, a design with no
+#: kernel, and an extra-L2 frontend (no kernel either: the scalar consumer
+#: replays them, segment by segment).
+SEGMENTED_CASES = {
+    "footprint": {"design": "footprint"},
+    "block": {"design": "block"},
+    "extra_l2": {"design": "footprint", "extra_l2_bytes": 16384},
+}
+
+
 class TestSegmentEdges:
     def test_empty_trace(self):
         assert_parity(small_config(), trace=[])
@@ -156,17 +167,35 @@ class TestSegmentEdges:
         trace = [MemoryRequest(address=0x1000, pc=0x400, core_id=0)]
         assert_parity(small_config(), trace=trace)
 
-    def test_tiny_segments_split_runs(self, monkeypatch):
+    @pytest.mark.parametrize("case", SEGMENTED_CASES)
+    def test_tiny_segments_split_runs(self, case, monkeypatch):
         # A prime segment size forces run boundaries everywhere: inside
         # the warm-up, at the warm-up edge, and at the trace tail.
+        config = small_config(requests=3_000, **SEGMENTED_CASES[case])
+        whole = run_both(config)
         monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 257)
-        assert_parity(small_config(requests=3_000))
+        assert run_both(config) == whole
+        assert whole[0] == whole[1]
 
-    def test_warmup_exactly_at_segment_edge(self, monkeypatch):
+    @pytest.mark.parametrize("case", SEGMENTED_CASES)
+    def test_warmup_exactly_at_segment_edge(self, case, monkeypatch):
         # num_requests = 4 segments, warm-up = 2 segments: the stats
         # reset lands precisely on a segment boundary.
+        config = small_config(requests=2_000, **SEGMENTED_CASES[case])
+        whole = run_both(config)
         monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 500)
-        assert_parity(small_config(requests=2_000))
+        assert run_both(config) == whole
+        assert whole[0] == whole[1]
+
+    @pytest.mark.parametrize("engine", ("interp", "vector"))
+    def test_measured_window_excludes_warmup(self, engine):
+        config = small_config(requests=2_000)
+        trace = [
+            MemoryRequest(address=(i % 64) * 2048, pc=0x400, core_id=i % 16)
+            for i in range(config.warmup_requests + 7)
+        ]
+        result = Simulator(config, engine=engine).run(trace=trace)
+        assert result.requests == 7
 
     def test_trace_ends_at_warmup_boundary(self):
         # A trace exactly as long as the warm-up: zero measured requests
@@ -233,7 +262,7 @@ class TestFallbackTelemetry:
 
     def test_footprint_point_counts_only_kernel_requests(self):
         config = small_config(design="footprint", requests=3_000)
-        # The scalar reference hook bypasses replay() altogether.
+        # The scalar reference hook is neither a fallback nor a kernel run.
         Simulator(config, engine="interp").run()
         assert registry().as_dict() == {}
         Simulator(config).run()
