@@ -571,6 +571,15 @@ def _sweep_spec(args) -> ExperimentSpec:
     )
 
 
+def _print_tick(tick) -> None:
+    """Sweep progress line: one per point, as it is served or simulated."""
+    status = "hit" if tick.cached else "run"
+    print(
+        f"[{tick.completed}/{tick.total}] {tick.point.label():40s} {status}",
+        flush=True,
+    )
+
+
 def _run_sweep(args) -> int:
     plugins = tuple(args.plugin or ())
     try:
@@ -610,18 +619,11 @@ def _run_sweep(args) -> int:
         return 2
     store = ResultStore(args.store)
 
-    def progress(tick) -> None:
-        status = "hit" if tick.cached else "run"
-        print(
-            f"[{tick.completed}/{tick.total}] {tick.point.label():40s} {status}",
-            flush=True,
-        )
-
     runner = SweepRunner(
         store=store,
         jobs=args.jobs,
         use_cache=not args.no_cache,
-        progress=None if args.quiet else progress,
+        progress=None if args.quiet else _print_tick,
         backend=backend,
         plugins=plugins,
     )
@@ -707,13 +709,6 @@ def _run_report(args) -> int:
     store = ResultStore(args.store)
     out_dir = args.out or default_results_dir()
 
-    def progress(tick) -> None:
-        status = "hit" if tick.cached else "run"
-        print(
-            f"[{tick.completed}/{tick.total}] {tick.point.label():40s} {status}",
-            flush=True,
-        )
-
     started = time.perf_counter()
     total_points = total_hits = total_simulated = 0
     summaries = []
@@ -724,7 +719,7 @@ def _run_report(args) -> int:
                 store=store,
                 jobs=args.jobs,
                 use_cache=not args.no_cache,
-                progress=None if args.quiet else progress,
+                progress=None if args.quiet else _print_tick,
                 backend=backend,
                 plugins=tuple(args.plugin or ()),
             )
@@ -768,27 +763,26 @@ def _run_serve(args) -> int:
     from repro.serve.httpd import serve_forever
 
     store_dir = args.store if args.store is not None else default_store_dir()
-    journal = args.journal
-    if journal is None:
-        journal = os.path.join(store_dir, "serve_journal.jsonl")
-    elif journal.lower() == "none":
-        journal = None
-    coordinator_journal = args.coordinator_journal
-    if coordinator_journal is None:
-        coordinator_journal = os.path.join(store_dir, "coordinator_journal.jsonl")
-    elif coordinator_journal.lower() == "none":
-        coordinator_journal = None
+
+    def journal_path(flag, default_name):
+        # Unset: the store's default journal; "none": no journal.
+        if flag is None:
+            return os.path.join(store_dir, default_name)
+        return None if flag.lower() == "none" else flag
+
     try:
         manager = JobManager(
             store_dir=store_dir,
             workers=args.workers,
             jobs=args.jobs,
             backend=args.backend,
-            journal_path=journal,
+            journal_path=journal_path(args.journal, "serve_journal.jsonl"),
         )
         coordinator = Coordinator(
             store_dir=store_dir,
-            journal_path=coordinator_journal,
+            journal_path=journal_path(
+                args.coordinator_journal, "coordinator_journal.jsonl"
+            ),
             lease_seconds=args.lease_seconds,
             allow_plugins=args.allow_plugins,
         )

@@ -171,7 +171,7 @@ class SimulationService:
             ("misses", "trace cache misses since process start"),
             ("evictions", "trace cache LRU evictions since process start"),
             ("cached_requests", "materialised requests resident in the cache"),
-            ("resident_bytes", "columnar bytes resident in the cache"),
+            ("resident_bytes", "column bytes allocated in the cache, headroom included"),
         ):
             reg.gauge(f"repro_trace_cache_{name}", help_text).set(stats[name])
 

@@ -1,26 +1,19 @@
-"""Trace segments: zero-copy NumPy views over a trace's columns.
+"""Trace segments: NumPy slices of a trace's columns.
 
-A :class:`repro.workloads.trace.Trace` already stores the five request
-fields as parallel ``array`` columns; ``np.frombuffer`` exposes a
-segment of each column as a NumPy view without copying.  Views pin the
-underlying buffers (an ``array`` cannot grow while exported), so a
-segment makes a view only when a column is read, and a consumer's views
-die with its locals: nothing pins the trace between segments.
+A :class:`repro.workloads.trace.Trace` stores the five request fields as
+parallel NumPy columns; a segment's column is a slice (a view, no copy)
+of the trace's column.
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-# array typecode -> NumPy dtype of the five Trace columns.
-_DTYPES = {"q": np.int64, "b": np.int8, "h": np.int16}
 
 
 class TraceColumns:
     """Segment ``[start, stop)`` of ``trace``.
 
-    Each column attribute is a fresh read-only view; :meth:`requests`
-    gives the trace's memoised request objects for the same range.
+    Each column attribute is a view of the trace's column;
+    :meth:`requests` gives the trace's memoised request objects for the
+    same range.
     """
 
     __slots__ = ("trace", "start", "stop")
@@ -33,35 +26,25 @@ class TraceColumns:
     def __len__(self) -> int:
         return self.stop - self.start
 
-    def _view(self, column):
-        dtype = _DTYPES[column.typecode]
-        count = self.stop - self.start
-        if count == 0:
-            # No buffer export for empty segments (nothing to pin).
-            return np.empty(0, dtype=dtype)
-        return np.frombuffer(
-            column, dtype=dtype, count=count, offset=self.start * column.itemsize
-        )
-
     @property
     def addresses(self):
-        return self._view(self.trace.addresses)
+        return self.trace.addresses[self.start:self.stop]
 
     @property
     def pcs(self):
-        return self._view(self.trace.pcs)
+        return self.trace.pcs[self.start:self.stop]
 
     @property
     def writes(self):
-        return self._view(self.trace.writes)
+        return self.trace.writes[self.start:self.stop]
 
     @property
     def core_ids(self):
-        return self._view(self.trace.core_ids)
+        return self.trace.core_ids[self.start:self.stop]
 
     @property
     def instruction_counts(self):
-        return self._view(self.trace.instruction_counts)
+        return self.trace.instruction_counts[self.start:self.stop]
 
     def requests(self):
         """The segment's request objects, memoised by its trace."""
@@ -70,4 +53,4 @@ class TraceColumns:
 
 def trace_segment(trace, start: int, stop: int) -> TraceColumns:
     """``trace[start:stop)``, clipped to the trace's length."""
-    return TraceColumns(trace, start, max(start, min(stop, len(trace.addresses))))
+    return TraceColumns(trace, start, max(start, min(stop, len(trace))))

@@ -4,7 +4,7 @@
 request stream, the warm-up phase ending in a stats reset *before* the
 first measured request, the request budget and the summary.  It cuts
 the stream into segments (:mod:`repro.vector.columns`: a trace and a
-range, read as zero-copy NumPy column views or as request objects) and
+range, read as NumPy column slices or as request objects) and
 hands each to a consumer with one method,
 ``run_segment(cols) -> instructions``: the design's batch kernel
 (:mod:`repro.vector.kernels`) when one matches, otherwise
@@ -17,10 +17,6 @@ equivalence tests compare the kernels against it.
 * Generator workloads and explicit request lists are drained through one
   ``islice`` per segment, which leaves a generator suspended at its last
   yield, so a continuation run on the same system resumes identically.
-* Column views pin a cached trace's buffers (an ``array`` cannot grow
-  while a view is exported); segments hold none themselves, and a
-  consumer's views die with its locals, so the cache can extend the
-  trace for the next segment.
 """
 
 from __future__ import annotations
@@ -105,14 +101,12 @@ def _segment_source(sim, trace):
     cache = shared_trace_cache()
     # The stream gate.  An externally built system may have consumed its
     # generator already, so only a private one is served from the cache.
-    # A disabled cache (REPRO_TRACE_CACHE=0) means *streaming*, and
-    # paper-sized runs stay on the generator (materialising them would
-    # pin hundreds of MB).  The choice is sticky per simulator: once a
+    # Paper-sized runs stay on the generator (materialising them would
+    # hold hundreds of MB).  The choice is sticky per simulator: once a
     # run was served from the cache, continuations come from it too.
     if (
         sim._private_system
         and isinstance(workload, SyntheticWorkload)
-        and cache.max_entries > 0
         and (sim._stream_position > 0 or limit <= MAX_CACHED_REQUESTS)
     ):
         first = sim._stream_position

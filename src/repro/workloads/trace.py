@@ -4,10 +4,11 @@ The paper's methodology replays the *same* trace through every cache
 design (Section 5.4).  Pre-materialising that trace once and sharing it
 across designs is therefore both a fidelity and a performance feature:
 
-* :class:`Trace` is a compact columnar materialisation — parallel arrays
-  of address/pc/type/core/icount — that rebuilds
-  :class:`~repro.mem.request.MemoryRequest` objects once (via the
-  validation-free fast constructor) and shares them across replays.
+* :class:`Trace` is a compact columnar materialisation — append-only
+  NumPy columns of address/pc/type/core/icount, safe to slice while the
+  trace grows — that rebuilds :class:`~repro.mem.request.MemoryRequest`
+  objects once (via the validation-free fast constructor) and shares
+  them across replays.
 * :class:`TraceCache` is a bounded per-process LRU over
   ``(profile, seed, page_size, block_size)`` generator identities.  A
   figure grid that replays one workload through six designs generates the
@@ -25,13 +26,13 @@ every stored result.
 
 from __future__ import annotations
 
-import os
 import threading
-from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.mem.request import AccessType, MemoryRequest, page_address
 from repro.workloads.profiles import WorkloadProfile
@@ -58,36 +59,48 @@ def materialize(
     return out
 
 
+#: The five request fields a :class:`Trace` stores, one NumPy column each.
+COLUMNS = (
+    ("addresses", np.int64),
+    ("pcs", np.int64),
+    ("writes", np.int8),
+    ("core_ids", np.int16),
+    ("instruction_counts", np.int64),
+)
+
+# Requests converted to columns per step while extending a trace: bounds
+# the transient request objects, not the trace.
+_EXTEND_CHUNK = 1 << 16
+
+
 class Trace(Sequence):
     """A materialised request stream in columnar form.
 
-    Five parallel arrays hold one field each (address, pc, write flag,
-    core id, instruction count): compact to hold, cheap to hash or slice,
+    Five parallel NumPy columns hold one field each (address, pc, write
+    flag, core id, instruction count): compact to hold, cheap to slice,
     and independent of request-object identity.  :meth:`requests`
     materialises the corresponding :class:`MemoryRequest` objects once
     and memoises them, so replaying one trace through many designs
     constructs each request object a single time.
 
-    Instances are conceptually immutable; only the owning
-    :class:`TraceCache` entry appends to a trace (to extend it), which
-    never disturbs previously served prefixes.
+    The trace is append-only, and its columns obey one invariant: a
+    buffer a reader may hold is never resized, and nothing below the
+    published length (``len(trace)``) is ever written again.
+    :meth:`_extend` writes past the published length into spare
+    capacity; when capacity runs out it copies into larger arrays,
+    publishes those, then publishes the new length.  So a slice of a
+    column below ``len(trace)`` stays valid, and unchanged, however the
+    trace grows afterwards; each column may be longer than the trace
+    (growth headroom), and only its first ``len(trace)`` entries are
+    requests.
     """
 
-    __slots__ = (
-        "addresses",
-        "pcs",
-        "writes",
-        "core_ids",
-        "instruction_counts",
-        "_requests",
-    )
+    __slots__ = tuple(name for name, _ in COLUMNS) + ("_length", "_requests")
 
     def __init__(self) -> None:
-        self.addresses = array("q")
-        self.pcs = array("q")
-        self.writes = array("b")
-        self.core_ids = array("h")
-        self.instruction_counts = array("q")
+        for name, dtype in COLUMNS:
+            setattr(self, name, np.empty(0, dtype))
+        self._length = 0
         self._requests: List[MemoryRequest] = []
 
     @classmethod
@@ -105,18 +118,29 @@ class Trace(Sequence):
         return trace
 
     def _extend(self, requests: Iterable[MemoryRequest]) -> None:
-        append_address = self.addresses.append
-        append_pc = self.pcs.append
-        append_write = self.writes.append
-        append_core = self.core_ids.append
-        append_icount = self.instruction_counts.append
         write = AccessType.WRITE
-        for request in requests:
-            append_address(request.address)
-            append_pc(request.pc)
-            append_write(1 if request.access_type is write else 0)
-            append_core(request.core_id)
-            append_icount(request.instruction_count)
+        source = iter(requests)
+        while True:
+            chunk = list(islice(source, _EXTEND_CHUNK))
+            if not chunk:
+                return
+            start = self._length
+            stop = start + len(chunk)
+            columns = [getattr(self, name) for name, _ in COLUMNS]
+            if stop > len(columns[0]):
+                capacity = max(stop, 2 * len(columns[0]))
+                grown = [np.empty(capacity, column.dtype) for column in columns]
+                for new, old in zip(grown, columns):
+                    new[:start] = old[:start]
+                columns = grown
+            columns[0][start:stop] = [r.address for r in chunk]
+            columns[1][start:stop] = [r.pc for r in chunk]
+            columns[2][start:stop] = [r.access_type is write for r in chunk]
+            columns[3][start:stop] = [r.core_id for r in chunk]
+            columns[4][start:stop] = [r.instruction_count for r in chunk]
+            for (name, _), column in zip(COLUMNS, columns):
+                setattr(self, name, column)
+            self._length = stop
 
     def requests(self, start: int = 0, stop: Optional[int] = None) -> List[MemoryRequest]:
         """The materialised request objects for ``[start, stop)``.
@@ -125,63 +149,35 @@ class Trace(Sequence):
         therefore between designs replaying the same trace); requests are
         frozen, so sharing is safe.
         """
-        if stop is None:
-            stop = len(self.addresses)
-        self._materialize_to(stop)
+        length = self._length
+        stop = length if stop is None else min(stop, length)
+        built = len(self._requests)
+        if stop > built:
+            addresses, pcs, writes, cores, icounts = (
+                getattr(self, name)[built:stop].tolist() for name, _ in COLUMNS
+            )
+            kinds = (AccessType.READ, AccessType.WRITE)
+            types = [kinds[w] for w in writes]
+            # One slice assignment (atomic under the GIL): a concurrent
+            # caller that materialised the same range meanwhile is
+            # overwritten with equal objects, never duplicated.
+            self._requests[built:stop] = list(
+                map(MemoryRequest.fast, addresses, pcs, types, cores, icounts)
+            )
         return self._requests[start:stop]
 
-    def _materialize_to(self, stop: int) -> None:
-        built = len(self._requests)
-        if stop <= built:
-            return
-        make = MemoryRequest.fast
-        read, write = AccessType.READ, AccessType.WRITE
-        addresses = self.addresses
-        pcs = self.pcs
-        writes = self.writes
-        core_ids = self.core_ids
-        icounts = self.instruction_counts
-        built_now = [
-            make(addresses[i], pcs[i], write if writes[i] else read, core_ids[i], icounts[i])
-            for i in range(built, stop)
-        ]
-        # One slice assignment (atomic under the GIL): a concurrent
-        # caller that materialised the same range meanwhile is
-        # overwritten with equal objects, never duplicated.
-        self._requests[built:stop] = built_now
-
     def __len__(self) -> int:
-        return len(self.addresses)
+        return self._length
 
     def __getitem__(self, index):
-        length = len(self.addresses)
-        if isinstance(index, slice):
-            start, stop, step = index.indices(length)
-            # Materialise only up to the highest index the slice touches.
-            bound = max(start + 1, stop) if step > 0 else start + 1
-            self._materialize_to(min(bound, length))
-            return self._requests[index]
-        if index < 0:
-            index += length
-        if not 0 <= index < length:
-            raise IndexError("trace index out of range")
-        return self.requests(index, index + 1)[0]
+        return self.requests()[index]
 
     def __iter__(self):
         return iter(self.requests())
 
     def nbytes(self) -> int:
-        """Approximate size of the columnar storage in bytes."""
-        return sum(
-            column.itemsize * len(column)
-            for column in (
-                self.addresses,
-                self.pcs,
-                self.writes,
-                self.core_ids,
-                self.instruction_counts,
-            )
-        )
+        """Bytes the columns hold allocated, growth headroom included."""
+        return sum(getattr(self, name).nbytes for name, _ in COLUMNS)
 
     def __repr__(self) -> str:
         return f"Trace(n={len(self)}, columnar={self.nbytes()} bytes)"
@@ -224,16 +220,9 @@ MAX_CACHED_REQUESTS = 1_000_000
 #: dropped to stay under it.
 MAX_TOTAL_CACHED_REQUESTS = 2_000_000
 
-
-def _default_max_entries() -> int:
-    """Cache bound: ``$REPRO_TRACE_CACHE`` (entries; 0 disables) or 4."""
-    override = os.environ.get("REPRO_TRACE_CACHE")
-    if override:
-        try:
-            return max(0, int(override))
-        except ValueError:
-            pass
-    return 4
+#: Traces a :class:`TraceCache` holds at once, least recently used first
+#: out.
+MAX_CACHED_TRACES = 4
 
 
 class TraceCache:
@@ -259,13 +248,11 @@ class TraceCache:
 
     def __init__(
         self,
-        max_entries: Optional[int] = None,
+        max_entries: int = MAX_CACHED_TRACES,
         max_total_requests: int = MAX_TOTAL_CACHED_REQUESTS,
     ) -> None:
-        if max_entries is None:
-            max_entries = _default_max_entries()
-        if max_entries < 0:
-            raise ValueError("max_entries must be non-negative")
+        if max_entries < 1:
+            raise ValueError("max_entries must be positive")
         if max_total_requests < 0:
             raise ValueError("max_total_requests must be non-negative")
         self.max_entries = max_entries
@@ -282,10 +269,11 @@ class TraceCache:
     def stats(self) -> dict:
         """Counters + occupancy: hits, misses, evictions, resident bytes.
 
-        ``resident_bytes`` is the columnar storage only (the memoised
-        request objects cost ~250B each on top; ``cached_requests``
-        bounds those).  Surfaced by ``repro store stats`` and, at scrape
-        time, by the serve layer's ``/metrics`` endpoints.
+        ``resident_bytes`` is what the columns hold allocated, growth
+        headroom included (the memoised request objects cost ~250B each
+        on top; ``cached_requests`` bounds those).  Surfaced by ``repro
+        store stats`` and, at scrape time, by the serve layer's
+        ``/metrics`` endpoints.
         """
         with self._lock:
             return {
@@ -366,23 +354,14 @@ class TraceCache:
         """The columnar trace backing stream ``[0, start + num_requests)``.
 
         Request *objects* are not materialised here: the batch kernels
-        read the columns directly (zero-copy NumPy views), so serving
-        them must not pay the ~250B/request object cost.  The returned
-        :class:`Trace` is the live cache entry's — callers must treat it
-        as read-only and drop any buffer views before the entry is
-        extended again (NumPy views pin ``array`` buffers).  With
-        ``max_entries == 0`` the cache is disabled and the trace is
-        generated fresh (still exact).
+        read the columns directly, so serving them must not pay the
+        ~250B/request object cost.  The returned :class:`Trace` is the
+        live cache entry's; callers treat it as read-only, and whatever
+        they read of it stays valid while the entry grows.
         """
         if num_requests < 0 or start < 0:
             raise ValueError("start and num_requests must be non-negative")
         with self._lock:
-            if self.max_entries == 0:
-                self.misses += 1
-                workload = SyntheticWorkload(
-                    profile, seed=seed, page_size=page_size, block_size=block_size
-                )
-                return Trace.from_requests(workload.requests(start + num_requests))
             entry = self._entry(profile, seed, page_size, block_size)
             entry.extend_to(start + num_requests)
             trace = entry.trace

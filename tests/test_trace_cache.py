@@ -9,14 +9,20 @@ tests pin that invariant — the byte-parity gate in CI depends on it.
 
 import dataclasses
 import multiprocessing
+import sys
+import threading
+from functools import lru_cache
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+import repro.vector.engine as vector_engine
 from repro.mem.request import AccessType, MemoryRequest
 from repro.sim.config import SimulationConfig
 from repro.sim.simulator import Simulator
+from repro.vector.columns import trace_segment
 from repro.workloads.cloudsuite import make_workload
-from repro.workloads.trace import Trace, TraceCache, shared_trace_cache
+from repro.workloads.trace import COLUMNS, Trace, TraceCache, shared_trace_cache
 
 
 def fresh_stream(n, seed=0, page_size=2048, workload="web_search"):
@@ -113,11 +119,6 @@ class TestTraceCacheDeterminism:
         assert again == first
         assert cache.misses == 3  # every fill was a cold generation
 
-    def test_disabled_cache_still_exact(self):
-        cache = TraceCache(max_entries=0)
-        assert cache.requests(profile_of(), 0, 2048, 250) == fresh_stream(250)
-        assert len(cache) == 0
-
     def test_total_request_budget_evicts_lru(self):
         cache = TraceCache(max_entries=8, max_total_requests=500)
         first = cache.requests(profile_of(), 0, 2048, 300)
@@ -137,8 +138,9 @@ class TestTraceCacheDeterminism:
         cache = TraceCache(max_entries=2)
         with pytest.raises(ValueError):
             cache.requests(profile_of(), 0, 2048, -1)
-        with pytest.raises(ValueError):
-            TraceCache(max_entries=-1)
+        for bound in (0, -1):
+            with pytest.raises(ValueError):
+                TraceCache(max_entries=bound)
 
 
 class TestCacheStats:
@@ -160,6 +162,15 @@ class TestCacheStats:
         assert stats["cached_requests"] == 300
         assert stats["resident_bytes"] > 0
 
+    def test_resident_bytes_count_allocated_columns(self):
+        cache = TraceCache(max_entries=4)
+        trace = cache.columnar(profile_of(), 0, 2048, 1000)
+        cache.columnar(profile_of(), 0, 2048, 1001)  # grows with headroom
+        allocated = sum(getattr(trace, name).nbytes for name, _ in COLUMNS)
+        used = sum(len(trace) * getattr(trace, name).itemsize for name, _ in COLUMNS)
+        assert len(trace.addresses) > len(trace) == 1001
+        assert cache.stats()["resident_bytes"] == allocated > used
+
     def test_stats_count_evictions(self):
         cache = TraceCache(max_entries=1)
         cache.requests(profile_of(), 0, 2048, 100)
@@ -170,6 +181,102 @@ class TestCacheStats:
         stats = cache.stats()
         assert stats["entries"] == 0
         assert stats["evictions"] == 1
+
+
+@lru_cache(maxsize=None)
+def reference_columns(n):
+    """The first ``n`` fresh-generator requests, and their fields column
+    by column."""
+    stream = fresh_stream(n)
+    return stream, {
+        "addresses": [r.address for r in stream],
+        "pcs": [r.pc for r in stream],
+        "writes": [1 if r.is_write else 0 for r in stream],
+        "core_ids": [r.core_id for r in stream],
+        "instruction_counts": [r.instruction_count for r in stream],
+    }
+
+
+class TestAppendOnlyColumns:
+    """Slices of a trace's columns stay valid while the trace grows."""
+
+    def test_held_view_survives_extension(self):
+        cache = TraceCache(max_entries=4)
+        trace = cache.columnar(profile_of(), 0, 2048, 1000)
+        pcs = trace_segment(trace, 0, 1000).pcs
+        before = pcs.tolist()
+        longer = cache.columnar(profile_of(), 0, 2048, 5000)
+        assert longer is trace and len(longer) == 5000
+        assert pcs.tolist() == before
+        assert longer.pcs[:1000].tolist() == before
+        assert longer.pcs[:5000].tolist() == reference_columns(5000)[1]["pcs"]
+
+    def test_threads_share_one_trace(self, monkeypatch):
+        """Three designs replay one cached trace at different lengths on
+        three threads: the longer runs extend the trace while the others'
+        kernels hold their segments' columns."""
+        monkeypatch.setattr(vector_engine, "SEGMENT_REQUESTS", 1024)
+        configs = [
+            SimulationConfig.scaled(
+                "web_search", design, 256, scale=256, num_requests=n, seed=9
+            )
+            for design, n in (("footprint", 6_000), ("baseline", 12_000), ("page", 20_000))
+        ]
+        expected = [Simulator(config).run() for config in configs]
+        shared_trace_cache().clear()
+        results = [None] * len(configs)
+
+        def run(i):
+            results[i] = Simulator(configs[i]).run()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=run, args=(i,)) for i in range(len(configs))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == expected
+
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1500), st.integers(0, 1500), st.booleans()
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    def test_interleaved_extend_and_read(self, reads):
+        """Every segment read, whether column slices or request objects,
+        equals the fresh generator's requests, and stays equal while later
+        reads extend the trace under it."""
+        stream, reference = reference_columns(3000)
+        cache = TraceCache(max_entries=1)
+        held = []
+        for start, n, as_objects in reads:
+            trace = cache.columnar(profile_of(), 0, 2048, n, start=start)
+            segment = trace_segment(trace, start, start + n)
+            assert len(segment) == n
+            if as_objects:
+                held.append((start, start + n, segment.requests()))
+            else:
+                held.append((start, start + n, {
+                    name: getattr(segment, name) for name, _ in COLUMNS
+                }))
+            for lo, hi, value in held:
+                if isinstance(value, list):
+                    assert value == stream[lo:hi]
+                else:
+                    for name, column in value.items():
+                        assert column.tolist() == reference[name][lo:hi]
 
 
 def _worker_stream_fields(args):
