@@ -119,6 +119,16 @@ class TestTraceCacheDeterminism:
         assert again == first
         assert cache.misses == 3  # every fill was a cold generation
 
+    def test_disabled_cache_still_exact(self):
+        # A cache cannot be switched off by its entry bound; one whose
+        # request budget holds nothing keeps no trace and still serves the
+        # generator's exact stream.
+        with pytest.raises(ValueError):
+            TraceCache(max_entries=0)
+        cache = TraceCache(max_entries=1, max_total_requests=0)
+        assert cache.requests(profile_of(), 0, 2048, 250) == fresh_stream(250)
+        assert len(cache) == 0
+
     def test_total_request_budget_evicts_lru(self):
         cache = TraceCache(max_entries=8, max_total_requests=500)
         first = cache.requests(profile_of(), 0, 2048, 300)
@@ -138,9 +148,8 @@ class TestTraceCacheDeterminism:
         cache = TraceCache(max_entries=2)
         with pytest.raises(ValueError):
             cache.requests(profile_of(), 0, 2048, -1)
-        for bound in (0, -1):
-            with pytest.raises(ValueError):
-                TraceCache(max_entries=bound)
+        with pytest.raises(ValueError):
+            TraceCache(max_entries=-1)
 
 
 class TestCacheStats:
